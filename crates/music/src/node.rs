@@ -157,9 +157,10 @@ impl<T: Transport> Transport for TaggedTransport<T> {
 /// Serves one multiplexed request frame: dispatches on the store-tag byte
 /// to the matching table replica.
 ///
-/// Unknown tags (and empty frames) yield an empty response, which the
-/// coordinator's typed decode rejects and retries — the same containment
-/// strategy [`serve_frame`] uses for undecodable bodies.
+/// Unknown tags (and empty frames) yield an empty response — the same
+/// containment [`serve_frame`] uses for undecodable bodies. No store reply
+/// is empty (an acknowledgement is a tag byte), so the coordinator's decode
+/// rejects it and retransmits.
 pub fn serve_node_frame(
     data: &mut TableReplica<DataRow>,
     locks: &mut TableReplica<LockPartition>,
@@ -572,6 +573,9 @@ fn parse_addr(what: &str, value: &str) -> Result<SocketAddr, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+    use music_quorumstore::{Put, StoreReq, StoreResp, WriteStamp};
+    use music_runtime::Wire;
 
     #[test]
     fn peers_parse_sorted_and_validated() {
@@ -701,13 +705,39 @@ mod tests {
     }
 
     #[test]
-    fn unknown_store_tag_yields_empty_reply() {
+    fn undecodable_frames_are_never_acked() {
         let mut data = TableReplica::<DataRow>::default();
         let mut locks = TableReplica::<LockPartition>::default();
-        assert!(serve_node_frame(&mut data, &mut locks, &[]).is_empty());
-        assert!(serve_node_frame(&mut data, &mut locks, &[9, 1, 2, 3]).is_empty());
-        // A known tag with an undecodable body is contained the same way.
-        assert!(serve_node_frame(&mut data, &mut locks, &[STORE_DATA, 0xFF]).is_empty());
-        assert!(serve_node_frame(&mut data, &mut locks, &[STORE_LOCK, 0xFF]).is_empty());
+        let apply = StoreReq::<DataRow>::Apply {
+            key: "k".into(),
+            mutation: Put::value(Bytes::from_static(b"v")),
+            stamp: WriteStamp::new(1),
+        }
+        .to_vec();
+        let tagged = |tag: u8, body: &[u8]| [&[tag], body].concat();
+        let bad_frames = [
+            Vec::new(),
+            // An unknown store tag, even in front of a well-formed body.
+            tagged(9, &apply),
+            // A known tag with an undecodable body.
+            tagged(STORE_DATA, &[0xFF]),
+            tagged(STORE_LOCK, &[0xFF]),
+            tagged(STORE_DATA, &apply[..apply.len() - 1]),
+        ];
+        for frame in &bad_frames {
+            let reply = serve_node_frame(&mut data, &mut locks, frame);
+            assert!(
+                StoreResp::<DataRow>::from_slice(&reply).is_err(),
+                "frame {frame:?} drew a reply the coordinator would decode"
+            );
+        }
+        assert_eq!(data.snapshot("k").value, None, "nothing was applied");
+        // The intact frame is applied and acknowledged.
+        let reply = serve_node_frame(&mut data, &mut locks, &tagged(STORE_DATA, &apply));
+        assert!(matches!(
+            StoreResp::<DataRow>::from_slice(&reply),
+            Ok(StoreResp::Ack)
+        ));
+        assert!(data.snapshot("k").value.is_some());
     }
 }

@@ -3,17 +3,14 @@
 //!
 //! The MUSIC replica and the lock store do not care *where* a table's
 //! replicas live — they need quorum reads/writes, LWTs, and scans with the
-//! paper's semantics. This trait captures exactly that surface, with two
-//! implementations:
-//!
-//! * [`ReplicatedTable`] — replicas held in-process and reached over the
-//!   deterministic simulated network. Every method delegates verbatim to
-//!   the existing inherent method, so protocol code compiled against this
-//!   impl behaves byte-for-byte like code that called the table directly.
-//! * [`RemoteTable`](crate::remote::RemoteTable) — replicas hosted by other
-//!   processes (`music-node`) and reached through a
-//!   [`Transport`](music_runtime::Transport): real sockets in production,
-//!   the simulated transport in tests.
+//! paper's semantics. This trait captures exactly that surface. It has one
+//! implementation, the [`Table`] coordinator, for every
+//! [`ReplicaLink`]: [`ReplicatedTable`](crate::table::ReplicatedTable)
+//! reaches in-process replicas over the deterministic simulated network,
+//! [`RemoteTable`](crate::remote::RemoteTable) reaches `music-node`
+//! processes through a [`Transport`](music_runtime::Transport) (real
+//! sockets in production, the simulated transport in tests). Every method
+//! is the inherent [`Table`] method of the same name.
 //!
 //! The associated [`TableApi::Rt`] runtime carries the clock, timers, and
 //! spawner the protocol layer above uses for its own timeouts and
@@ -23,20 +20,20 @@
 use std::fmt;
 
 use music_runtime::Runtime;
-use music_simnet::executor::Sim;
 use music_simnet::net::NodeId;
 use music_telemetry::Recorder;
 
 use crate::error::StoreError;
+use crate::link::ReplicaLink;
 use crate::partition::Partition;
 use crate::stamp::WriteStamp;
-use crate::table::{LwtOutcome, ReplicatedTable};
+use crate::table::{LwtOutcome, Table};
 
 /// The coordinator-facing surface of a replicated table of `P` partitions.
 ///
-/// Methods mirror [`ReplicatedTable`]'s inherent operations one-for-one;
-/// see those for full semantics and failure modes. Implementations are
-/// cheap-to-clone handles (like the stores they front).
+/// Methods mirror [`Table`]'s inherent operations one-for-one; see those
+/// for full semantics and failure modes. Implementations are cheap-to-clone
+/// handles (like the stores they front).
 #[allow(async_fn_in_trait)] // single-threaded runtimes: futures are !Send by design
 pub trait TableApi<P: Partition>: Clone + fmt::Debug + 'static {
     /// The runtime this table's coordinator operations run on.
@@ -48,13 +45,13 @@ pub trait TableApi<P: Partition>: Clone + fmt::Debug + 'static {
     /// The telemetry recorder operations report into.
     fn recorder(&self) -> Recorder;
 
-    /// Eventual-consistency read (CL=ONE); see [`ReplicatedTable::read_one`].
+    /// Eventual-consistency read (CL=ONE); see [`Table::read_one`].
     async fn read_one(&self, coord: NodeId, key: &str) -> Result<P::Snapshot, StoreError>;
 
-    /// Quorum read (`dsGetQuorum`); see [`ReplicatedTable::read_quorum`].
+    /// Quorum read (`dsGetQuorum`); see [`Table::read_quorum`].
     async fn read_quorum(&self, coord: NodeId, key: &str) -> Result<P::Snapshot, StoreError>;
 
-    /// Eventual-consistency write (CL=ONE); see [`ReplicatedTable::write_one`].
+    /// Eventual-consistency write (CL=ONE); see [`Table::write_one`].
     async fn write_one(
         &self,
         coord: NodeId,
@@ -63,7 +60,7 @@ pub trait TableApi<P: Partition>: Clone + fmt::Debug + 'static {
         stamp: WriteStamp,
     ) -> Result<(), StoreError>;
 
-    /// Quorum write (`dsPutQuorum`); see [`ReplicatedTable::write_quorum`].
+    /// Quorum write (`dsPutQuorum`); see [`Table::write_quorum`].
     async fn write_quorum(
         &self,
         coord: NodeId,
@@ -73,7 +70,7 @@ pub trait TableApi<P: Partition>: Clone + fmt::Debug + 'static {
     ) -> Result<(), StoreError>;
 
     /// Starts a quorum write without awaiting it; see
-    /// [`ReplicatedTable::write_quorum_spawned`].
+    /// [`Table::write_quorum_spawned`].
     fn write_quorum_spawned(
         &self,
         coord: NodeId,
@@ -82,7 +79,7 @@ pub trait TableApi<P: Partition>: Clone + fmt::Debug + 'static {
         stamp: WriteStamp,
     ) -> <Self::Rt as Runtime>::JoinHandle<Result<(), StoreError>>;
 
-    /// Four-phase light-weight transaction; see [`ReplicatedTable::lwt`].
+    /// Four-phase light-weight transaction; see [`Table::lwt`].
     async fn lwt(
         &self,
         coord: NodeId,
@@ -91,15 +88,10 @@ pub trait TableApi<P: Partition>: Clone + fmt::Debug + 'static {
     ) -> Result<LwtOutcome<P>, StoreError>;
 
     /// Sorted live keys at the nearest replica; see
-    /// [`ReplicatedTable::list_keys_local`].
+    /// [`Table::list_keys_local`].
     async fn list_keys_local(&self, coord: NodeId) -> Result<Vec<String>, StoreError>;
 
-    /// Range scan at the nearest replica; see
-    /// [`ReplicatedTable::scan_local`].
-    ///
-    /// Remote implementations ship whole partitions over the wire (as a
-    /// real range scan returns rows) and run `extract` client-side, so the
-    /// extractor never crosses a socket.
+    /// Range scan at the nearest replica; see [`Table::scan_local`].
     async fn scan_local<R: 'static>(
         &self,
         coord: NodeId,
@@ -107,23 +99,23 @@ pub trait TableApi<P: Partition>: Clone + fmt::Debug + 'static {
     ) -> Result<Vec<(String, R)>, StoreError>;
 }
 
-impl<P: Partition> TableApi<P> for ReplicatedTable<P> {
-    type Rt = Sim;
+impl<P: Partition, L: ReplicaLink<P>> TableApi<P> for Table<P, L> {
+    type Rt = L::Rt;
 
-    fn rt(&self) -> &Sim {
-        self.net().sim()
+    fn rt(&self) -> &L::Rt {
+        self.link().rt()
     }
 
     fn recorder(&self) -> Recorder {
-        self.net().recorder()
+        self.link().recorder()
     }
 
     async fn read_one(&self, coord: NodeId, key: &str) -> Result<P::Snapshot, StoreError> {
-        ReplicatedTable::read_one(self, coord, key).await
+        Table::read_one(self, coord, key).await
     }
 
     async fn read_quorum(&self, coord: NodeId, key: &str) -> Result<P::Snapshot, StoreError> {
-        ReplicatedTable::read_quorum(self, coord, key).await
+        Table::read_quorum(self, coord, key).await
     }
 
     async fn write_one(
@@ -133,7 +125,7 @@ impl<P: Partition> TableApi<P> for ReplicatedTable<P> {
         mutation: P::Mutation,
         stamp: WriteStamp,
     ) -> Result<(), StoreError> {
-        ReplicatedTable::write_one(self, coord, key, mutation, stamp).await
+        Table::write_one(self, coord, key, mutation, stamp).await
     }
 
     async fn write_quorum(
@@ -143,7 +135,7 @@ impl<P: Partition> TableApi<P> for ReplicatedTable<P> {
         mutation: P::Mutation,
         stamp: WriteStamp,
     ) -> Result<(), StoreError> {
-        ReplicatedTable::write_quorum(self, coord, key, mutation, stamp).await
+        Table::write_quorum(self, coord, key, mutation, stamp).await
     }
 
     fn write_quorum_spawned(
@@ -152,8 +144,8 @@ impl<P: Partition> TableApi<P> for ReplicatedTable<P> {
         key: &str,
         mutation: P::Mutation,
         stamp: WriteStamp,
-    ) -> <Sim as Runtime>::JoinHandle<Result<(), StoreError>> {
-        ReplicatedTable::write_quorum_spawned(self, coord, key, mutation, stamp)
+    ) -> <L::Rt as Runtime>::JoinHandle<Result<(), StoreError>> {
+        Table::write_quorum_spawned(self, coord, key, mutation, stamp)
     }
 
     async fn lwt(
@@ -162,11 +154,11 @@ impl<P: Partition> TableApi<P> for ReplicatedTable<P> {
         key: &str,
         decide: impl FnMut(&P::Snapshot, WriteStamp) -> Option<(P::Mutation, WriteStamp)>,
     ) -> Result<LwtOutcome<P>, StoreError> {
-        ReplicatedTable::lwt(self, coord, key, decide).await
+        Table::lwt(self, coord, key, decide).await
     }
 
     async fn list_keys_local(&self, coord: NodeId) -> Result<Vec<String>, StoreError> {
-        ReplicatedTable::list_keys_local(self, coord).await
+        Table::list_keys_local(self, coord).await
     }
 
     async fn scan_local<R: 'static>(
@@ -174,6 +166,6 @@ impl<P: Partition> TableApi<P> for ReplicatedTable<P> {
         coord: NodeId,
         extract: impl Fn(&P) -> R + 'static,
     ) -> Result<Vec<(String, R)>, StoreError> {
-        ReplicatedTable::scan_local(self, coord, extract).await
+        Table::scan_local(self, coord, extract).await
     }
 }

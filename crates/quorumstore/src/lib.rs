@@ -10,15 +10,17 @@
 //! | [`ReplicatedTable::read_quorum`] / [`ReplicatedTable::write_quorum`] | majority | 1 WAN RTT | `dsGetQuorum`/`dsPutQuorum` |
 //! | [`ReplicatedTable::lwt`] | linearizable CAS | 4 WAN RTTs | lock store ops, `MSCP` baseline |
 //!
-//! The LWT path drives the pure Paxos state machines of `music-paxos` over
-//! the simulated network with the same four-phase structure as Cassandra's
-//! light-weight transactions.
+//! The LWT path drives the pure Paxos state machines of `music-paxos` with
+//! the same four-phase structure as Cassandra's light-weight transactions.
 //!
-//! Protocol layers should program against [`TableApi`], the runtime-generic
-//! entry point: [`ReplicatedTable`] implements it over the deterministic
-//! simulator, and [`RemoteTable`] implements it over a
+//! There is one coordinator, [`Table`], and one replica-side dispatch,
+//! [`TableReplica::serve`]; between them sits a [`ReplicaLink`] — how a
+//! [`StoreReq`] reaches a replica and its [`StoreResp`] comes back.
+//! [`ReplicatedTable`] is the table over the deterministic simulator's
+//! link, [`RemoteTable`] the table over a
 //! [`Transport`](music_runtime::Transport) (real sockets via `music-node`,
-//! or the simulated transport in tests).
+//! or the simulated transport in tests). Protocol layers program against
+//! [`TableApi`], which [`Table`] implements for every link.
 //!
 //! ## Quickstart (simulated runtime)
 //!
@@ -52,16 +54,20 @@
 
 pub mod api;
 pub mod error;
+pub mod link;
 pub mod partition;
 pub mod remote;
+pub mod replica;
 pub mod ring;
 pub mod stamp;
 pub mod table;
 
 pub use api::TableApi;
 pub use error::StoreError;
+pub use link::{ReplicaLink, SimLink, WireLink};
 pub use partition::{DataRow, Partition, Put, RowSnapshot, HEADER_BYTES};
-pub use remote::{serve_frame, RemoteTable, StoreReq};
+pub use remote::{serve_frame, RemoteTable};
+pub use replica::{Proposal, StoreReq, StoreResp, TableReplica};
 pub use ring::{key_hash, Placement};
 pub use stamp::WriteStamp;
-pub use table::{LwtOutcome, Proposal, ReplicatedTable, TableConfig, TableReplica};
+pub use table::{LwtOutcome, ReplicatedTable, Table, TableConfig};

@@ -1,55 +1,26 @@
-//! [`RemoteTable`]: the same coordinator protocol as [`ReplicatedTable`],
-//! spoken to *out-of-process* replicas over a
-//! [`Transport`](music_runtime::Transport).
+//! The store protocol on the wire: [`Wire`] forms of [`StoreReq`] and
+//! [`StoreResp`], the frame handler a `music-node` process runs
+//! ([`serve_frame`]), and [`RemoteTable`] — the coordinator over a
+//! [`Transport`].
 //!
-//! A `music-node` process hosts one [`TableReplica`] per store and answers
-//! [`StoreReq`] frames via [`serve_frame`]; this module's coordinator
-//! re-implements the quorum and LWT state machines of
-//! [`crate::table`] over typed request/response calls instead of the
-//! simulated network's closure RPCs. The replica-side state transitions are
-//! *the same code* in both worlds — `TableReplica::{snapshot, apply,
-//! acceptor}` — so sim-validated semantics carry over to sockets.
-//!
-//! Differences from the simulated coordinator, all forced by the medium:
-//!
-//! * **No latency oracle.** The simulator routes CL=ONE reads and scans to
-//!   the replica nearest the coordinator by querying the topology; a real
-//!   client has no such oracle, so those paths target the key's primary
-//!   (first placement replica) and the first store node respectively.
-//! * **Scans ship rows.** `scan_local`'s extractor closure cannot cross a
-//!   socket; the server returns whole live partitions (as a real range
-//!   query returns rows) and the extractor runs client-side.
-//! * **Failures are explicit.** A dead socket errors instead of going
-//!   silent; the fan-out converts persistent per-replica errors into
-//!   never-completing futures so quorum accounting matches the simulator's
-//!   (a lost replica stalls, and the operation timeout decides).
+//! Nothing here decides protocol behaviour. The coordinator is
+//! [`Table`], the replica-side transitions are [`TableReplica::serve`];
+//! this module only carries their messages across a socket. What the medium
+//! does force on a remote table is stated on [`WireLink`]: no latency oracle
+//! (CL=ONE reads target the key's primary, scans the first store node),
+//! scans ship whole partitions, and a replica that errors is treated as one
+//! that stays silent.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::fmt;
-use std::marker::PhantomData;
-use std::rc::Rc;
-
-use music_paxos::{choose_value, Ballot, BallotGenerator, Chosen, PrepareReply};
-use music_runtime::{call_reliable, never, quorum, timeout, Runtime, Transport};
-use music_runtime::{Wire, WireError, WireReader};
+use music_paxos::{AcceptReply, Ballot, PrepareReply};
+use music_runtime::{Transport, Wire, WireError, WireReader};
 use music_simnet::net::NodeId;
-use music_simnet::time::SimDuration;
-use music_telemetry::{EventKind, LwtPhase, Recorder, Scope};
+use music_telemetry::Recorder;
 
-use crate::api::TableApi;
-use crate::error::StoreError;
+use crate::link::WireLink;
 use crate::partition::{DataRow, Partition, Put, RowSnapshot};
-use crate::ring::{key_hash, Placement};
+use crate::replica::{Proposal, StoreReq, StoreResp, TableReplica};
 use crate::stamp::WriteStamp;
-use crate::table::{LwtOutcome, Proposal, TableConfig, TableReplica};
-
-/// How many times a fan-out RPC is retransmitted before the replica is
-/// written off, mirroring the simulated `rpc_reliable` budget.
-const RPC_ATTEMPTS: u32 = 10;
-
-/// Retransmission interval for fan-out RPCs (the simulated value).
-const RPC_RETRY_AFTER: SimDuration = SimDuration::from_secs(2);
+use crate::table::{Table, TableConfig};
 
 // ---------------------------------------------------------------------------
 // Wire codecs for the store's value types.
@@ -117,106 +88,8 @@ fn decode_ballot(r: &mut WireReader<'_>) -> Result<Ballot, WireError> {
 }
 
 // ---------------------------------------------------------------------------
-// Request / response frames.
+// Request / reply frames.
 // ---------------------------------------------------------------------------
-
-/// One coordinator→replica request of the store protocol. The response type
-/// depends on the variant: snapshots for reads, paxos replies for LWT
-/// phases, unit acks for writes.
-pub enum StoreReq<P: Partition> {
-    /// Read one partition's snapshot.
-    Snapshot {
-        /// Partition key.
-        key: String,
-    },
-    /// Apply a stamped mutation (quorum/eventual write).
-    Apply {
-        /// Partition key.
-        key: String,
-        /// The mutation.
-        mutation: P::Mutation,
-        /// Its last-write-wins stamp.
-        stamp: WriteStamp,
-    },
-    /// LWT phase 1: prepare/promise.
-    Prepare {
-        /// Partition key.
-        key: String,
-        /// The coordinator's ballot.
-        ballot: Ballot,
-    },
-    /// LWT phase 3: propose/accept.
-    Accept {
-        /// Partition key.
-        key: String,
-        /// The coordinator's ballot.
-        ballot: Ballot,
-        /// Proposed mutation.
-        mutation: P::Mutation,
-        /// Stamp the mutation commits with.
-        stamp: WriteStamp,
-    },
-    /// LWT phase 4: commit (clears the round and applies the mutation).
-    Commit {
-        /// Partition key.
-        key: String,
-        /// The committing ballot.
-        ballot: Ballot,
-        /// Committed mutation.
-        mutation: P::Mutation,
-        /// Stamp the mutation is applied with.
-        stamp: WriteStamp,
-    },
-    /// Sorted keys of all live partitions.
-    ListKeys,
-    /// All live partitions (range scan).
-    Scan,
-}
-
-impl<P: Partition> Clone for StoreReq<P> {
-    fn clone(&self) -> Self {
-        match self {
-            StoreReq::Snapshot { key } => StoreReq::Snapshot { key: key.clone() },
-            StoreReq::Apply {
-                key,
-                mutation,
-                stamp,
-            } => StoreReq::Apply {
-                key: key.clone(),
-                mutation: mutation.clone(),
-                stamp: *stamp,
-            },
-            StoreReq::Prepare { key, ballot } => StoreReq::Prepare {
-                key: key.clone(),
-                ballot: *ballot,
-            },
-            StoreReq::Accept {
-                key,
-                ballot,
-                mutation,
-                stamp,
-            } => StoreReq::Accept {
-                key: key.clone(),
-                ballot: *ballot,
-                mutation: mutation.clone(),
-                stamp: *stamp,
-            },
-            StoreReq::Commit {
-                key,
-                ballot,
-                mutation,
-                stamp,
-            } => StoreReq::Commit {
-                key: key.clone(),
-                ballot: *ballot,
-                mutation: mutation.clone(),
-                stamp: *stamp,
-            },
-            StoreReq::ListKeys => StoreReq::ListKeys,
-            StoreReq::Scan => StoreReq::Scan,
-        }
-    }
-}
 
 impl<P: Partition> Wire for StoreReq<P>
 where
@@ -305,88 +178,74 @@ where
     }
 }
 
-/// Wire form of a [`PrepareReply`] (the in-progress proposal flattened to
-/// its mutation + stamp).
-pub struct WirePrepareReply<P: Partition> {
-    /// Whether the ballot was promised.
-    pub promised: bool,
-    /// The replica's current promise (for ballot observation).
-    pub current_promise: Ballot,
-    /// An accepted-but-uncommitted proposal, if the replica holds one.
-    pub in_progress: Option<(Ballot, P::Mutation, WriteStamp)>,
-}
-
-impl<P: Partition> WirePrepareReply<P> {
-    fn from_reply(reply: PrepareReply<Proposal<P>>) -> Self {
-        WirePrepareReply {
-            promised: reply.promised,
-            current_promise: reply.current_promise,
-            in_progress: reply.in_progress.map(|(b, p)| (b, p.mutation, p.stamp)),
-        }
-    }
-
-    fn into_reply(self) -> PrepareReply<Proposal<P>> {
-        PrepareReply {
-            promised: self.promised,
-            current_promise: self.current_promise,
-            in_progress: self
-                .in_progress
-                .map(|(b, mutation, stamp)| (b, Proposal { mutation, stamp })),
-        }
-    }
-}
-
-impl<P: Partition> Wire for WirePrepareReply<P>
+impl<P: Partition + Wire> Wire for StoreResp<P>
 where
     P::Mutation: Wire,
+    P::Snapshot: Wire,
 {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.promised.encode(buf);
-        encode_ballot(self.current_promise, buf);
-        match &self.in_progress {
-            None => buf.push(0),
-            Some((b, m, s)) => {
-                buf.push(1);
-                encode_ballot(*b, buf);
-                m.encode(buf);
-                s.encode(buf);
+        match self {
+            StoreResp::Snapshot(snap) => {
+                buf.push(0);
+                snap.encode(buf);
+            }
+            StoreResp::Ack => buf.push(1),
+            StoreResp::Promise(reply) => {
+                buf.push(2);
+                reply.promised.encode(buf);
+                encode_ballot(reply.current_promise, buf);
+                match &reply.in_progress {
+                    None => buf.push(0),
+                    Some((ballot, proposal)) => {
+                        buf.push(1);
+                        encode_ballot(*ballot, buf);
+                        proposal.mutation.encode(buf);
+                        proposal.stamp.encode(buf);
+                    }
+                }
+            }
+            StoreResp::Accepted(reply) => {
+                buf.push(3);
+                reply.accepted.encode(buf);
+                encode_ballot(reply.current_promise, buf);
+            }
+            StoreResp::Keys(keys) => {
+                buf.push(4);
+                keys.encode(buf);
+            }
+            StoreResp::Rows(rows) => {
+                buf.push(5);
+                rows.encode(buf);
             }
         }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let promised = bool::decode(r)?;
-        let current_promise = decode_ballot(r)?;
-        let in_progress = match r.u8()? {
-            0 => None,
-            1 => Some((decode_ballot(r)?, Wire::decode(r)?, Wire::decode(r)?)),
-            _ => return Err(WireError("invalid in-progress tag")),
-        };
-        Ok(WirePrepareReply {
-            promised,
-            current_promise,
-            in_progress,
-        })
-    }
-}
-
-/// Wire form of an accept reply.
-pub struct WireAcceptReply {
-    /// Whether the proposal was accepted.
-    pub accepted: bool,
-    /// The replica's current promise.
-    pub current_promise: Ballot,
-}
-
-impl Wire for WireAcceptReply {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.accepted.encode(buf);
-        encode_ballot(self.current_promise, buf);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(WireAcceptReply {
-            accepted: bool::decode(r)?,
-            current_promise: decode_ballot(r)?,
+        Ok(match r.u8()? {
+            0 => StoreResp::Snapshot(Wire::decode(r)?),
+            1 => StoreResp::Ack,
+            2 => StoreResp::Promise(PrepareReply {
+                promised: bool::decode(r)?,
+                current_promise: decode_ballot(r)?,
+                in_progress: match r.u8()? {
+                    0 => None,
+                    1 => Some((
+                        decode_ballot(r)?,
+                        Proposal {
+                            mutation: Wire::decode(r)?,
+                            stamp: Wire::decode(r)?,
+                        },
+                    )),
+                    _ => return Err(WireError("invalid in-progress tag")),
+                },
+            }),
+            3 => StoreResp::Accepted(AcceptReply {
+                accepted: bool::decode(r)?,
+                current_promise: decode_ballot(r)?,
+            }),
+            4 => StoreResp::Keys(Wire::decode(r)?),
+            5 => StoreResp::Rows(Wire::decode(r)?),
+            _ => return Err(WireError("invalid store reply tag")),
         })
     }
 }
@@ -396,63 +255,20 @@ impl Wire for WireAcceptReply {
 // ---------------------------------------------------------------------------
 
 /// Serves one raw [`StoreReq`] frame against a replica's state, returning
-/// the encoded response. This is the entire replica-side protocol of
-/// `music-node`: decode, run the same state transition the simulated
-/// replica runs, encode.
+/// the encoded [`StoreResp`]: decode, [`TableReplica::serve`], encode.
 ///
-/// A frame that fails to decode yields an empty response, which the
-/// coordinator's typed decode rejects (and retries — every request is
-/// idempotent by stamps/ballots).
+/// A frame that fails to decode yields an empty response. No reply encodes
+/// to zero bytes, so the coordinator's decode rejects it and retransmits
+/// (every request is idempotent by stamps/ballots).
 pub fn serve_frame<P>(replica: &mut TableReplica<P>, raw: &[u8]) -> Vec<u8>
 where
     P: Partition + Wire,
     P::Mutation: Wire,
     P::Snapshot: Wire,
 {
-    let Ok(req) = StoreReq::<P>::from_slice(raw) else {
-        return Vec::new();
-    };
-    match req {
-        StoreReq::Snapshot { key } => replica.snapshot(&key).to_vec(),
-        StoreReq::Apply {
-            key,
-            mutation,
-            stamp,
-        } => {
-            replica.apply(&key, &mutation, stamp);
-            ().to_vec()
-        }
-        StoreReq::Prepare { key, ballot } => {
-            let reply = replica.acceptor(&key).prepare(ballot);
-            WirePrepareReply::from_reply(reply).to_vec()
-        }
-        StoreReq::Accept {
-            key,
-            ballot,
-            mutation,
-            stamp,
-        } => {
-            let reply = replica
-                .acceptor(&key)
-                .accept(ballot, Proposal { mutation, stamp });
-            WireAcceptReply {
-                accepted: reply.accepted,
-                current_promise: reply.current_promise,
-            }
-            .to_vec()
-        }
-        StoreReq::Commit {
-            key,
-            ballot,
-            mutation,
-            stamp,
-        } => {
-            let _ = replica.acceptor(&key).commit(ballot);
-            replica.apply(&key, &mutation, stamp);
-            ().to_vec()
-        }
-        StoreReq::ListKeys => replica.live_keys().to_vec(),
-        StoreReq::Scan => replica.live_partitions().to_vec(),
+    match StoreReq::<P>::from_slice(raw) {
+        Ok(req) => replica.serve(&req).to_vec(),
+        Err(_) => Vec::new(),
     }
 }
 
@@ -460,41 +276,10 @@ where
 // Coordinator side.
 // ---------------------------------------------------------------------------
 
-struct RemoteInner<P: Partition, T: Transport> {
-    transport: T,
-    nodes: Vec<NodeId>,
-    placement: Placement,
-    cfg: TableConfig,
-    recorder: Recorder,
-    ballots: RefCell<HashMap<(NodeId, String), BallotGenerator>>,
-    _partition: PhantomData<P>,
-}
+/// The table whose replicas live in other processes, reached via `T`.
+pub type RemoteTable<P, T> = Table<P, WireLink<P, T>>;
 
-/// A client-side coordinator for a table whose replicas live in other
-/// processes, reached via `T`. Implements [`TableApi`] with the same
-/// quorum/LWT state machines as [`crate::table::ReplicatedTable`].
-pub struct RemoteTable<P: Partition, T: Transport> {
-    inner: Rc<RemoteInner<P, T>>,
-}
-
-impl<P: Partition, T: Transport> Clone for RemoteTable<P, T> {
-    fn clone(&self) -> Self {
-        RemoteTable {
-            inner: Rc::clone(&self.inner),
-        }
-    }
-}
-
-impl<P: Partition, T: Transport> fmt::Debug for RemoteTable<P, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RemoteTable")
-            .field("nodes", &self.inner.nodes)
-            .field("rf", &self.inner.placement.rf())
-            .finish()
-    }
-}
-
-impl<P, T> RemoteTable<P, T>
+impl<P, T> Table<P, WireLink<P, T>>
 where
     P: Partition + Wire,
     P::Mutation: Wire,
@@ -513,469 +298,14 @@ where
         cfg: TableConfig,
         recorder: Recorder,
     ) -> Self {
-        let placement = Placement::new(nodes.len(), rf);
-        RemoteTable {
-            inner: Rc::new(RemoteInner {
-                transport,
-                nodes,
-                placement,
-                cfg,
-                recorder,
-                ballots: RefCell::new(HashMap::new()),
-                _partition: PhantomData,
-            }),
-        }
-    }
-
-    /// The transport requests travel over.
-    pub fn transport(&self) -> &T {
-        &self.inner.transport
-    }
-
-    /// Node ids of all store replicas.
-    pub fn nodes(&self) -> &[NodeId] {
-        &self.inner.nodes
-    }
-
-    fn replica_nodes(&self, key: &str) -> Vec<NodeId> {
-        self.inner
-            .placement
-            .replicas_of(key)
-            .into_iter()
-            .map(|i| self.inner.nodes[i])
-            .collect()
-    }
-
-    fn quorum_size(&self) -> usize {
-        self.inner.placement.quorum()
-    }
-
-    fn emit(&self, node: NodeId, kind: impl FnOnce() -> EventKind) {
-        let rec = &self.inner.recorder;
-        if rec.is_tracing() {
-            let rt = &self.inner.transport;
-            rec.record(rt.now().as_micros(), rt.trace(), node.0, kind());
-        }
-    }
-
-    fn count(&self, node: NodeId, name: &'static str, n: u64) {
-        let rec = &self.inner.recorder;
-        if rec.is_on() {
-            rec.count(Scope::Node(node.0), name, n);
-        }
-    }
-
-    /// One reliable typed call per replica of `key`. Each task retries with
-    /// the simulator's retransmission budget; a replica that stays
-    /// unreachable parks forever, so quorum accounting sees the same
-    /// "silent replica" a simulated fan-out sees and the operation timeout
-    /// decides the outcome.
-    fn fan_out<Resp: Wire + 'static>(
-        &self,
-        coord: NodeId,
-        key: &str,
-        req: &StoreReq<P>,
-    ) -> Vec<<T as Runtime>::JoinHandle<Resp>> {
-        self.replica_nodes(key)
-            .into_iter()
-            .map(|node| self.call_spawned(coord, node, req.clone()))
-            .collect()
-    }
-
-    fn call_spawned<Resp: Wire + 'static>(
-        &self,
-        coord: NodeId,
-        node: NodeId,
-        req: StoreReq<P>,
-    ) -> <T as Runtime>::JoinHandle<Resp> {
-        let transport = self.inner.transport.clone();
-        transport.clone().spawn(async move {
-            match call_reliable(&transport, coord, node, &req, RPC_ATTEMPTS, RPC_RETRY_AFTER).await
-            {
-                Ok(resp) => resp,
-                // Out of retries: behave like a silent replica.
-                Err(_) => never().await,
-            }
-        })
-    }
-
-    async fn quorum_calls<Resp: Wire + 'static>(
-        &self,
-        coord: NodeId,
-        key: &str,
-        req: &StoreReq<P>,
-        need: usize,
-    ) -> Result<Vec<(usize, Resp)>, StoreError> {
-        let handles = self.fan_out(coord, key, req);
-        timeout(
-            &self.inner.transport,
-            self.inner.cfg.op_timeout,
-            quorum(handles, need),
-        )
-        .await
-        .map_err(|_| StoreError::Unavailable)
-    }
-
-    async fn write_with_cl(
-        &self,
-        coord: NodeId,
-        key: &str,
-        mutation: P::Mutation,
-        stamp: WriteStamp,
-        need: usize,
-    ) -> Result<(), StoreError> {
-        let req = StoreReq::Apply {
-            key: key.to_string(),
-            mutation,
-            stamp,
-        };
-        self.quorum_calls::<()>(coord, key, &req, need).await?;
-        self.count(coord, "quorum_writes", 1);
-        self.emit(coord, || EventKind::QuorumWrite {
-            key: key.to_string(),
-            acks: need as u32,
-        });
-        Ok(())
-    }
-
-    async fn read_quorum_inner(&self, coord: NodeId, key: &str) -> Result<P::Snapshot, StoreError> {
-        let need = self.quorum_size();
-        let req = StoreReq::Snapshot {
-            key: key.to_string(),
-        };
-        let replies = self
-            .quorum_calls::<P::Snapshot>(coord, key, &req, need)
-            .await?;
-        let snaps: Vec<P::Snapshot> = replies.into_iter().map(|(_, s)| s).collect();
-        self.count(coord, "quorum_reads", 1);
-        self.emit(coord, || EventKind::QuorumRead {
-            key: key.to_string(),
-            replies: snaps.len() as u32,
-        });
-        let mut it = snaps.iter().cloned();
-        let first = it.next().expect("quorum >= 1");
-        let newest = it.fold(first, |acc, s| P::reconcile(acc, s));
-        if snaps.iter().any(|s| *s != newest) {
-            self.count(coord, "read_repairs", 1);
-            self.emit(coord, || EventKind::ReadRepair {
-                key: key.to_string(),
-            });
-            for (mutation, stamp) in P::repair(&newest) {
-                let req = StoreReq::Apply {
-                    key: key.to_string(),
-                    mutation,
-                    stamp,
-                };
-                // Background write-back to every replica.
-                drop(self.fan_out::<()>(coord, key, &req));
-            }
-        }
-        Ok(newest)
-    }
-
-    fn ballot_stamp(ballot: Ballot) -> WriteStamp {
-        assert!(
-            u64::from(ballot.proposer) < (1 << 20),
-            "LWT coordinator node id {} exceeds the stamp's proposer field",
-            ballot.proposer
-        );
-        WriteStamp::new((ballot.round << 20) | u64::from(ballot.proposer))
-    }
-
-    fn next_ballot(&self, coord: NodeId, key: &str) -> Ballot {
-        let mut ballots = self.inner.ballots.borrow_mut();
-        let gen = ballots
-            .entry((coord, key.to_string()))
-            .or_insert_with(|| BallotGenerator::new(coord.0));
-        gen.next()
-    }
-
-    fn observe_ballot(&self, coord: NodeId, key: &str, ballot: Ballot) {
-        let mut ballots = self.inner.ballots.borrow_mut();
-        let gen = ballots
-            .entry((coord, key.to_string()))
-            .or_insert_with(|| BallotGenerator::new(coord.0));
-        gen.observe(ballot);
-    }
-
-    async fn accept_quorum(
-        &self,
-        coord: NodeId,
-        key: &str,
-        ballot: Ballot,
-        proposal: Proposal<P>,
-    ) -> Result<bool, StoreError> {
-        let req = StoreReq::Accept {
-            key: key.to_string(),
-            ballot,
-            mutation: proposal.mutation,
-            stamp: proposal.stamp,
-        };
-        let need = self.quorum_size();
-        let replies = self
-            .quorum_calls::<WireAcceptReply>(coord, key, &req, need)
-            .await?;
-        let mut ok = true;
-        for (_, reply) in &replies {
-            self.observe_ballot(coord, key, reply.current_promise);
-            ok &= reply.accepted;
-        }
-        Ok(ok)
-    }
-
-    async fn commit_quorum(
-        &self,
-        coord: NodeId,
-        key: &str,
-        ballot: Ballot,
-        proposal: &Proposal<P>,
-    ) -> Result<(), StoreError> {
-        let req = StoreReq::Commit {
-            key: key.to_string(),
-            ballot,
-            mutation: proposal.mutation.clone(),
-            stamp: proposal.stamp,
-        };
-        let need = self.quorum_size();
-        self.quorum_calls::<()>(coord, key, &req, need).await?;
-        Ok(())
-    }
-
-    async fn lwt_inner(
-        &self,
-        coord: NodeId,
-        key: &str,
-        mut decide: impl FnMut(&P::Snapshot, WriteStamp) -> Option<(P::Mutation, WriteStamp)>,
-    ) -> Result<LwtOutcome<P>, StoreError> {
-        let rt = self.inner.transport.clone();
-        for attempt in 0..self.inner.cfg.lwt_retries {
-            if attempt > 0 {
-                self.count(coord, "lwt_retries", 1);
-                self.emit(coord, || EventKind::LwtRetry {
-                    key: key.to_string(),
-                    attempt,
-                });
-                // Same deterministic jittered back-off as the simulated
-                // coordinator: racing proposers must desynchronize.
-                let exp = 1u64 << attempt.min(6);
-                let jitter = key_hash(&format!("{}-{}-{}", coord.0, key, attempt))
-                    % (self.inner.cfg.lwt_backoff.as_micros().max(1) * exp);
-                let backoff =
-                    self.inner.cfg.lwt_backoff * exp / 2 + SimDuration::from_micros(jitter);
-                rt.sleep(backoff).await;
-            }
-            let ballot = self.next_ballot(coord, key);
-            let ballot_code = (ballot.round << 20) | u64::from(ballot.proposer);
-            self.emit(coord, || EventKind::Lwt {
-                key: key.to_string(),
-                phase: LwtPhase::Prepare,
-                ballot: ballot_code,
-            });
-
-            // Phase 1: prepare / promise.
-            let req = StoreReq::Prepare {
-                key: key.to_string(),
-                ballot,
-            };
-            let need = self.quorum_size();
-            let replies = self
-                .quorum_calls::<WirePrepareReply<P>>(coord, key, &req, need)
-                .await?;
-            let mut promises = Vec::new();
-            let mut preempted = false;
-            for (_, reply) in replies {
-                self.observe_ballot(coord, key, reply.current_promise);
-                let reply = reply.into_reply();
-                if reply.promised {
-                    promises.push(reply);
-                } else {
-                    preempted = true;
-                }
-            }
-            if preempted || promises.len() < need {
-                continue;
-            }
-
-            // Complete any in-progress proposal before our own update.
-            if let Chosen::MustComplete(_, proposal) = choose_value(&promises) {
-                self.emit(coord, || EventKind::Lwt {
-                    key: key.to_string(),
-                    phase: LwtPhase::MustComplete,
-                    ballot: ballot_code,
-                });
-                if self
-                    .accept_quorum(coord, key, ballot, proposal.clone())
-                    .await?
-                {
-                    self.commit_quorum(coord, key, ballot, &proposal).await?;
-                }
-                continue;
-            }
-
-            // Phase 2: quorum read of the current partition state.
-            self.emit(coord, || EventKind::Lwt {
-                key: key.to_string(),
-                phase: LwtPhase::Read,
-                ballot: ballot_code,
-            });
-            let before = self.read_quorum_inner(coord, key).await?;
-
-            // Phase 3: decide and propose.
-            let Some((mutation, stamp)) = decide(&before, Self::ballot_stamp(ballot)) else {
-                self.emit(coord, || EventKind::LwtResult {
-                    key: key.to_string(),
-                    applied: false,
-                    attempts: attempt + 1,
-                });
-                return Ok(LwtOutcome {
-                    applied: false,
-                    before,
-                });
-            };
-            self.emit(coord, || EventKind::Lwt {
-                key: key.to_string(),
-                phase: LwtPhase::Propose,
-                ballot: ballot_code,
-            });
-            let proposal = Proposal { mutation, stamp };
-            if !self
-                .accept_quorum(coord, key, ballot, proposal.clone())
-                .await?
-            {
-                continue;
-            }
-
-            // Phase 4: commit (replicas apply the mutation).
-            self.emit(coord, || EventKind::Lwt {
-                key: key.to_string(),
-                phase: LwtPhase::Commit,
-                ballot: ballot_code,
-            });
-            self.commit_quorum(coord, key, ballot, &proposal).await?;
-            self.emit(coord, || EventKind::LwtResult {
-                key: key.to_string(),
-                applied: true,
-                attempts: attempt + 1,
-            });
-            return Ok(LwtOutcome {
-                applied: true,
-                before,
-            });
-        }
-        self.count(coord, "lwt_contention", 1);
-        Err(StoreError::Contention)
-    }
-
-    /// One direct (single-attempt) call with the operation timeout — the
-    /// remote analogue of the simulator's plain `rpc` paths.
-    async fn call_once<Resp: Wire + 'static>(
-        &self,
-        coord: NodeId,
-        node: NodeId,
-        req: &StoreReq<P>,
-    ) -> Result<Resp, StoreError> {
-        let transport = &self.inner.transport;
-        let fut = music_runtime::call::<T, StoreReq<P>, Resp>(transport, coord, node, req);
-        timeout(transport, self.inner.cfg.op_timeout, fut)
-            .await
-            .map_err(|_| StoreError::Unavailable)?
-            .map_err(|_| StoreError::Unavailable)
-    }
-}
-
-impl<P, T> TableApi<P> for RemoteTable<P, T>
-where
-    P: Partition + Wire,
-    P::Mutation: Wire,
-    P::Snapshot: Wire,
-    T: Transport,
-{
-    type Rt = T;
-
-    fn rt(&self) -> &T {
-        &self.inner.transport
-    }
-
-    fn recorder(&self) -> Recorder {
-        self.inner.recorder.clone()
-    }
-
-    async fn read_one(&self, coord: NodeId, key: &str) -> Result<P::Snapshot, StoreError> {
-        // No latency oracle off-simulation: target the key's primary.
-        let node = self.replica_nodes(key)[0];
-        let req = StoreReq::Snapshot {
-            key: key.to_string(),
-        };
-        self.call_once(coord, node, &req).await
-    }
-
-    async fn read_quorum(&self, coord: NodeId, key: &str) -> Result<P::Snapshot, StoreError> {
-        self.read_quorum_inner(coord, key).await
-    }
-
-    async fn write_one(
-        &self,
-        coord: NodeId,
-        key: &str,
-        mutation: P::Mutation,
-        stamp: WriteStamp,
-    ) -> Result<(), StoreError> {
-        self.write_with_cl(coord, key, mutation, stamp, 1).await
-    }
-
-    async fn write_quorum(
-        &self,
-        coord: NodeId,
-        key: &str,
-        mutation: P::Mutation,
-        stamp: WriteStamp,
-    ) -> Result<(), StoreError> {
-        let need = self.quorum_size();
-        self.write_with_cl(coord, key, mutation, stamp, need).await
-    }
-
-    fn write_quorum_spawned(
-        &self,
-        coord: NodeId,
-        key: &str,
-        mutation: P::Mutation,
-        stamp: WriteStamp,
-    ) -> <T as Runtime>::JoinHandle<Result<(), StoreError>> {
-        let table = self.clone();
-        let key = key.to_string();
-        self.inner
-            .transport
-            .spawn(async move { table.write_quorum(coord, &key, mutation, stamp).await })
-    }
-
-    async fn lwt(
-        &self,
-        coord: NodeId,
-        key: &str,
-        decide: impl FnMut(&P::Snapshot, WriteStamp) -> Option<(P::Mutation, WriteStamp)>,
-    ) -> Result<LwtOutcome<P>, StoreError> {
-        self.lwt_inner(coord, key, decide).await
-    }
-
-    async fn list_keys_local(&self, coord: NodeId) -> Result<Vec<String>, StoreError> {
-        let node = self.inner.nodes[0];
-        self.call_once(coord, node, &StoreReq::ListKeys).await
-    }
-
-    async fn scan_local<R: 'static>(
-        &self,
-        coord: NodeId,
-        extract: impl Fn(&P) -> R + 'static,
-    ) -> Result<Vec<(String, R)>, StoreError> {
-        let node = self.inner.nodes[0];
-        let rows: Vec<(String, P)> = self.call_once(coord, node, &StoreReq::Scan).await?;
-        Ok(rows.into_iter().map(|(k, p)| (k, extract(&p))).collect())
+        Table::over(WireLink::new(transport, recorder), nodes, rf, cfg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::ReplicaLink;
     use bytes::Bytes;
     use music_runtime::SimTransport;
     use music_simnet::executor::Sim;
@@ -1000,6 +330,23 @@ mod tests {
         let recorder = Recorder::off();
         let table = RemoteTable::new(transport, nodes, 3, TableConfig::default(), recorder);
         (sim, table, client)
+    }
+
+    #[test]
+    fn empty_responses_do_not_count_toward_a_write_quorum() {
+        let (sim, table, client) = remote_fixture();
+        // Two of the three nodes answer every frame the way `serve_frame`
+        // answers one it cannot decode: with nothing.
+        for &node in &table.nodes()[1..] {
+            table.link().rt().serve(node, |_| Vec::new());
+        }
+        let err = sim.block_on(async move {
+            let put = Put::value(Bytes::from_static(b"v"));
+            table
+                .write_quorum(client, "k", put, WriteStamp::new(1))
+                .await
+        });
+        assert_eq!(err, Err(crate::StoreError::Unavailable));
     }
 
     #[test]

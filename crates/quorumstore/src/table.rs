@@ -1,9 +1,9 @@
-//! [`ReplicatedTable`]: a geo-replicated table of [`Partition`]s with
-//! Cassandra-style coordinator operations.
+//! [`Table`]: the coordinator of a geo-replicated table of [`Partition`]s,
+//! with Cassandra-style operations.
 //!
 //! * `read_one` / `write_one` — eventual consistency (CL=ONE): reads hit
-//!   the nearest replica; writes go to every replica but acknowledge after
-//!   the first. This is the `CassaEV` baseline of §VIII-b.
+//!   one replica (the link picks which); writes go to every replica but
+//!   acknowledge after the first. This is the `CassaEV` baseline of §VIII-b.
 //! * `read_quorum` / `write_quorum` — majority operations (CL=QUORUM),
 //!   one WAN round trip. These implement `dsGetQuorum` / `dsPutQuorum`.
 //! * `lwt` — Paxos-based compare-and-set in four phases
@@ -16,22 +16,28 @@
 //! chooses how many acknowledgments the coordinator waits for. Straggler
 //! deliveries continue in the background (detached tasks), which is what
 //! makes the store eventually consistent.
+//!
+//! The coordinator exists once, generic over the [`ReplicaLink`] that
+//! carries its requests. [`ReplicatedTable`] names it over the simulator
+//! link, [`RemoteTable`](crate::remote::RemoteTable) over the wire link.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::marker::PhantomData;
 use std::rc::Rc;
 
-use music_paxos::{choose_value, Acceptor, Ballot, BallotGenerator, Chosen};
-use music_simnet::combinators::{quorum, timeout};
-use music_simnet::executor::JoinHandle;
+use music_paxos::{choose_value, Ballot, BallotGenerator, Chosen};
+use music_runtime::{never, quorum, timeout, Runtime};
 use music_simnet::net::{Network, NodeId};
 use music_simnet::time::SimDuration;
 use music_telemetry::{EventKind, LwtPhase, Scope};
 
 use crate::error::StoreError;
-use crate::partition::{Partition, HEADER_BYTES};
-use crate::ring::Placement;
+use crate::link::{ReplicaAddr, ReplicaLink, SimLink};
+use crate::partition::Partition;
+use crate::replica::{Proposal, StoreReq, StoreResp};
+use crate::ring::{key_hash, Placement};
 use crate::stamp::WriteStamp;
 
 /// Tunables for coordinator operations.
@@ -57,34 +63,8 @@ impl Default for TableConfig {
     }
 }
 
-/// A Paxos proposal replicated by the LWT path: an absolute mutation plus
-/// the stamp it will be applied with.
-pub struct Proposal<P: Partition> {
-    /// The mutation to apply on commit.
-    pub mutation: P::Mutation,
-    /// Stamp the mutation is applied with (last-write-wins).
-    pub stamp: WriteStamp,
-}
-
-impl<P: Partition> Clone for Proposal<P> {
-    fn clone(&self) -> Self {
-        Proposal {
-            mutation: self.mutation.clone(),
-            stamp: self.stamp,
-        }
-    }
-}
-
-impl<P: Partition> fmt::Debug for Proposal<P> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Proposal")
-            .field("mutation", &self.mutation)
-            .field("stamp", &self.stamp)
-            .finish()
-    }
-}
-
-/// Result of an [`ReplicatedTable::lwt`] call.
+/// Result of a [`Table::lwt`] call.
+#[derive(Debug)]
 pub struct LwtOutcome<P: Partition> {
     /// Whether the caller's mutation was applied (`false` = the `decide`
     /// closure declined, i.e. the compare failed).
@@ -93,122 +73,58 @@ pub struct LwtOutcome<P: Partition> {
     pub before: P::Snapshot,
 }
 
-impl<P: Partition> fmt::Debug for LwtOutcome<P> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LwtOutcome")
-            .field("applied", &self.applied)
-            .field("before", &self.before)
-            .finish()
-    }
+/// A ballot as one integer, round in the high bits: the `ballot` field of
+/// LWT telemetry events and the value of ballot-derived stamps.
+fn ballot_code(ballot: Ballot) -> u64 {
+    (ballot.round << 20) | u64::from(ballot.proposer)
 }
 
-/// Replica-side state of one store node: its partitions plus the per-key
-/// Paxos acceptors the LWT path drives. In the simulation every replica
-/// lives inside [`ReplicatedTable`]; a real deployment hosts one
-/// `TableReplica` per `music-node` process and serves it over sockets via
-/// [`crate::remote::serve_frame`].
-pub struct TableReplica<P: Partition> {
-    partitions: HashMap<String, P>,
-    paxos: HashMap<String, Acceptor<Proposal<P>>>,
+/// Default stamp an LWT mutation gets if the `decide` closure keeps the
+/// suggestion: derived from the ballot, so stamps of successive LWTs on a
+/// key are strictly increasing. The round owns the high bits; the proposer
+/// id must fit the low 20 bits or stamps could invert across rounds.
+fn ballot_stamp(ballot: Ballot) -> WriteStamp {
+    assert!(
+        u64::from(ballot.proposer) < (1 << 20),
+        "LWT coordinator node id {} exceeds the stamp's proposer field",
+        ballot.proposer
+    );
+    WriteStamp::new(ballot_code(ballot))
 }
 
-impl<P: Partition> Default for TableReplica<P> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<P: Partition> TableReplica<P> {
-    /// An empty replica.
-    pub fn new() -> Self {
-        TableReplica {
-            partitions: HashMap::new(),
-            paxos: HashMap::new(),
-        }
-    }
-
-    /// Snapshot of `key`'s partition (creating it empty if absent).
-    pub fn snapshot(&mut self, key: &str) -> P::Snapshot {
-        self.partitions
-            .entry(key.to_string())
-            .or_default()
-            .snapshot()
-    }
-
-    /// Applies a stamped mutation to `key`'s partition.
-    pub fn apply(&mut self, key: &str, mutation: &P::Mutation, stamp: WriteStamp) {
-        self.partitions
-            .entry(key.to_string())
-            .or_default()
-            .apply(mutation, stamp);
-    }
-
-    /// The Paxos acceptor guarding `key`'s LWT rounds.
-    pub fn acceptor(&mut self, key: &str) -> &mut Acceptor<Proposal<P>> {
-        self.paxos
-            .entry(key.to_string())
-            .or_insert_with(Acceptor::new)
-    }
-
-    /// Sorted keys of all live partitions (the full-table scan primitive).
-    pub fn live_keys(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .partitions
-            .iter()
-            .filter(|(_, p)| p.exists())
-            .map(|(k, _)| k.clone())
-            .collect();
-        keys.sort_unstable();
-        keys
-    }
-
-    /// All live partitions, sorted by key (the range-scan primitive).
-    pub fn live_partitions(&self) -> Vec<(String, P)> {
-        let mut rows: Vec<(String, P)> = self
-            .partitions
-            .iter()
-            .filter(|(_, p)| p.exists())
-            .map(|(k, p)| (k.clone(), p.clone()))
-            .collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows
-    }
-}
-
-struct TableInner<P: Partition> {
-    net: Network,
+struct TableInner<P, L> {
+    link: L,
     nodes: Vec<NodeId>,
     placement: Placement,
-    replicas: Vec<Rc<RefCell<TableReplica<P>>>>,
     cfg: TableConfig,
     /// Highest ballot each (coordinator, key) pair has observed.
     ballots: RefCell<HashMap<(NodeId, String), BallotGenerator>>,
+    _partition: PhantomData<P>,
 }
 
-/// A replicated table of partitions, shared by all coordinators in the
-/// simulation. Clone handles freely.
-pub struct ReplicatedTable<P: Partition> {
-    inner: Rc<TableInner<P>>,
+/// Coordinator handle for a replicated table of `P` partitions whose
+/// replicas are reached over `L`. Clone handles freely.
+#[derive(Clone)]
+pub struct Table<P: Partition, L: ReplicaLink<P>> {
+    inner: Rc<TableInner<P, L>>,
 }
 
-impl<P: Partition> Clone for ReplicatedTable<P> {
-    fn clone(&self) -> Self {
-        ReplicatedTable {
-            inner: Rc::clone(&self.inner),
-        }
-    }
-}
+/// The table over the deterministic simulator: replicas held in-process,
+/// shared by all coordinators in the simulation.
+pub type ReplicatedTable<P> = Table<P, SimLink<P>>;
 
-impl<P: Partition> fmt::Debug for ReplicatedTable<P> {
+type Handle<P, L, R> = <<L as ReplicaLink<P>>::Rt as Runtime>::JoinHandle<R>;
+
+impl<P: Partition, L: ReplicaLink<P>> fmt::Debug for Table<P, L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ReplicatedTable")
+        f.debug_struct("Table")
             .field("nodes", &self.inner.nodes)
             .field("rf", &self.inner.placement.rf())
             .finish()
     }
 }
 
-impl<P: Partition> ReplicatedTable<P> {
+impl<P: Partition> Table<P, SimLink<P>> {
     /// Creates a table replicated across `nodes` with replication factor
     /// `rf`.
     ///
@@ -219,25 +135,54 @@ impl<P: Partition> ReplicatedTable<P> {
     ///
     /// Panics if `rf` is zero or exceeds `nodes.len()`.
     pub fn new(net: Network, nodes: Vec<NodeId>, rf: usize, cfg: TableConfig) -> Self {
-        let placement = Placement::new(nodes.len(), rf);
-        let replicas = (0..nodes.len())
-            .map(|_| Rc::new(RefCell::new(TableReplica::new())))
-            .collect();
-        ReplicatedTable {
-            inner: Rc::new(TableInner {
-                net,
-                nodes,
-                placement,
-                replicas,
-                cfg,
-                ballots: RefCell::new(HashMap::new()),
-            }),
-        }
+        Table::over(SimLink::new(net, nodes.len()), nodes, rf, cfg)
     }
 
     /// The network this table communicates over.
     pub fn net(&self) -> &Network {
-        &self.inner.net
+        self.inner.link.net()
+    }
+
+    /// Direct, network-free view of one replica's partition state — test
+    /// and experiment instrumentation only.
+    pub fn peek_replica(&self, replica_idx: usize, key: &str) -> P::Snapshot {
+        self.inner
+            .link
+            .replica(replica_idx)
+            .borrow_mut()
+            .snapshot(key)
+    }
+
+    /// Whether every replica of `key` currently holds an identical
+    /// snapshot (by `Debug` rendering) — convergence check for tests.
+    pub fn converged(&self, key: &str) -> bool {
+        let snaps: Vec<String> = self
+            .replicas_of(key)
+            .into_iter()
+            .map(|(i, _)| format!("{:?}", self.peek_replica(i, key)))
+            .collect();
+        snaps.windows(2).all(|w| w[0] == w[1])
+    }
+}
+
+impl<P: Partition, L: ReplicaLink<P>> Table<P, L> {
+    /// A coordinator for the replicas at `nodes`, reached over `link`.
+    pub(crate) fn over(link: L, nodes: Vec<NodeId>, rf: usize, cfg: TableConfig) -> Self {
+        Table {
+            inner: Rc::new(TableInner {
+                link,
+                placement: Placement::new(nodes.len(), rf),
+                nodes,
+                cfg,
+                ballots: RefCell::new(HashMap::new()),
+                _partition: PhantomData,
+            }),
+        }
+    }
+
+    /// The link requests travel over.
+    pub fn link(&self) -> &L {
+        &self.inner.link
     }
 
     /// Placement (ring) of this table.
@@ -250,8 +195,12 @@ impl<P: Partition> ReplicatedTable<P> {
         &self.inner.nodes
     }
 
+    fn rt(&self) -> &L::Rt {
+        self.inner.link.rt()
+    }
+
     /// Replica indices and node ids holding `key`.
-    fn replicas_of(&self, key: &str) -> Vec<(usize, NodeId)> {
+    fn replicas_of(&self, key: &str) -> Vec<ReplicaAddr> {
         self.inner
             .placement
             .replicas_of(key)
@@ -260,12 +209,11 @@ impl<P: Partition> ReplicatedTable<P> {
             .collect()
     }
 
-    /// The replica of `key` closest to `coord` (ties: lowest index).
-    fn nearest_replica(&self, coord: NodeId, key: &str) -> (usize, NodeId) {
-        self.replicas_of(key)
-            .into_iter()
-            .min_by_key(|&(i, n)| (self.inner.net.propagation(coord, n), i))
-            .expect("rf >= 1")
+    /// The CL=ONE target for scans, which are not per-key routed: the
+    /// link's pick among all store nodes.
+    fn scan_target(&self, coord: NodeId) -> ReplicaAddr {
+        let all: Vec<ReplicaAddr> = self.inner.nodes.iter().copied().enumerate().collect();
+        self.inner.link.pick_one(coord, &all)
     }
 
     fn quorum_size(&self) -> usize {
@@ -273,77 +221,95 @@ impl<P: Partition> ReplicatedTable<P> {
     }
 
     /// Emits a telemetry event attributed to `node`, stamped with the
-    /// current virtual time and the running task's trace tag. No-op unless
-    /// the network's recorder is tracing.
+    /// runtime's clock and the running task's trace tag. No-op unless the
+    /// recorder is tracing.
     fn emit(&self, node: NodeId, kind: impl FnOnce() -> EventKind) {
-        let rec = self.inner.net.recorder();
+        let rec = self.inner.link.recorder();
         if rec.is_tracing() {
-            let sim = self.inner.net.sim();
-            rec.record(sim.now().as_micros(), sim.trace(), node.0, kind());
+            let rt = self.rt();
+            rec.record(rt.now().as_micros(), rt.trace(), node.0, kind());
         }
     }
 
-    /// Bumps a per-node counter on the network's recorder.
+    /// Bumps a per-node counter on the recorder.
     fn count(&self, node: NodeId, name: &'static str, n: u64) {
-        let rec = self.inner.net.recorder();
+        let rec = self.inner.link.recorder();
         if rec.is_on() {
             rec.count(Scope::Node(node.0), name, n);
         }
     }
 
-    /// Spawns one RPC per replica of `key`; `serve` runs at the replica on
-    /// delivery. Each RPC uses bounded retransmission (idempotent stamped
-    /// handlers), so a transient partition delays a replica's update
-    /// instead of dropping it forever — the hinted-handoff behaviour the
-    /// store's eventual consistency relies on.
+    /// Spawns one reliable request per replica of `key`; `pick` names the
+    /// reply kind expected. Retransmission means a transient partition
+    /// delays a replica's update instead of dropping it forever — the
+    /// hinted-handoff behaviour the store's eventual consistency relies on.
+    /// A replica that answers with another kind counts as silent.
     fn fan_out<R: 'static>(
         &self,
         coord: NodeId,
         key: &str,
-        req_bytes: usize,
-        serve: impl Fn(&mut TableReplica<P>) -> (R, usize) + Clone + 'static,
-    ) -> Vec<JoinHandle<R>> {
-        let sim = self.inner.net.sim().clone();
+        req: &StoreReq<P>,
+        pick: fn(StoreResp<P>) -> Option<R>,
+    ) -> Vec<Handle<P, L, R>> {
         self.replicas_of(key)
             .into_iter()
-            .map(|(idx, node)| {
-                let net = self.inner.net.clone();
-                let replica = Rc::clone(&self.inner.replicas[idx]);
-                let serve = serve.clone();
-                sim.spawn(async move {
-                    net.rpc_reliable(
-                        coord,
-                        node,
-                        req_bytes,
-                        move || serve(&mut replica.borrow_mut()),
-                        10,
-                        SimDuration::from_secs(2),
-                    )
-                    .await
+            .map(|to| {
+                let (link, req) = (self.inner.link.clone(), req.clone());
+                self.rt().spawn(async move {
+                    match pick(link.call_reliable(coord, to, req).await) {
+                        Some(reply) => reply,
+                        None => never().await,
+                    }
                 })
             })
             .collect()
     }
 
-    /// Eventual-consistency read (CL=ONE) from the replica of `key` nearest
-    /// to `coord`.
+    /// Fans `req` out and waits for the first `need` replies, in arrival
+    /// order, within the operation timeout.
+    async fn quorum_of<R: 'static>(
+        &self,
+        coord: NodeId,
+        key: &str,
+        req: &StoreReq<P>,
+        pick: fn(StoreResp<P>) -> Option<R>,
+        need: usize,
+    ) -> Result<Vec<R>, StoreError> {
+        let handles = self.fan_out(coord, key, req, pick);
+        let replies = timeout(self.rt(), self.inner.cfg.op_timeout, quorum(handles, need))
+            .await
+            .map_err(|_| StoreError::Unavailable)?;
+        Ok(replies.into_iter().map(|(_, reply)| reply).collect())
+    }
+
+    /// One single-attempt request to `to`, bounded by the operation
+    /// timeout.
+    async fn call_once<R>(
+        &self,
+        coord: NodeId,
+        to: ReplicaAddr,
+        req: StoreReq<P>,
+        pick: fn(StoreResp<P>) -> Option<R>,
+    ) -> Result<R, StoreError> {
+        let call = self.inner.link.call(coord, to, req);
+        let reply = timeout(self.rt(), self.inner.cfg.op_timeout, call)
+            .await
+            .map_err(|_| StoreError::Unavailable)??;
+        pick(reply).ok_or(StoreError::Unavailable)
+    }
+
+    /// Eventual-consistency read (CL=ONE) from one replica of `key`: the
+    /// nearest to `coord` on the simulator, the key's primary on sockets.
     ///
     /// # Errors
     ///
     /// [`StoreError::Unavailable`] if the replica does not answer in time.
     pub async fn read_one(&self, coord: NodeId, key: &str) -> Result<P::Snapshot, StoreError> {
-        let (idx, node) = self.nearest_replica(coord, key);
-        let net = self.inner.net.clone();
-        let replica = Rc::clone(&self.inner.replicas[idx]);
-        let key = key.to_string();
-        let fut = net.rpc(coord, node, HEADER_BYTES + key.len(), move || {
-            let snap = replica.borrow_mut().snapshot(&key);
-            let bytes = P::snapshot_bytes(&snap);
-            (snap, bytes)
-        });
-        timeout(self.inner.net.sim(), self.inner.cfg.op_timeout, fut)
-            .await
-            .map_err(|_| StoreError::Unavailable)
+        let to = self.inner.link.pick_one(coord, &self.replicas_of(key));
+        let req = StoreReq::Snapshot {
+            key: key.to_string(),
+        };
+        self.call_once(coord, to, req, StoreResp::snapshot).await
     }
 
     /// Eventual-consistency write (CL=ONE): ships the mutation to every
@@ -385,60 +351,18 @@ impl<P: Partition> ReplicatedTable<P> {
     /// Starts a quorum write without awaiting it: the returned handle
     /// resolves once a majority has acknowledged (or the operation timed
     /// out). The fan-out happens immediately; this is the primitive the
-    /// pipelined `criticalPut` path and [`ReplicatedTable::write_quorum_many`]
-    /// build their bounded in-flight windows on.
+    /// pipelined `criticalPut` path builds its bounded in-flight window on.
     pub fn write_quorum_spawned(
         &self,
         coord: NodeId,
         key: &str,
         mutation: P::Mutation,
         stamp: WriteStamp,
-    ) -> JoinHandle<Result<(), StoreError>> {
+    ) -> Handle<P, L, Result<(), StoreError>> {
         let table = self.clone();
         let key = key.to_string();
-        self.inner
-            .net
-            .sim()
+        self.rt()
             .spawn(async move { table.write_quorum(coord, &key, mutation, stamp).await })
-    }
-
-    /// Windowed multi-put: issues the `(key, mutation, stamp)` writes in
-    /// order with at most `window` quorum writes in flight, then drains the
-    /// tail. All writes are *started* even after a failure (each key's
-    /// mutation still propagates eventually); the first error is returned
-    /// after the drain.
-    ///
-    /// # Errors
-    ///
-    /// The first [`StoreError`] any of the writes reported.
-    pub async fn write_quorum_many(
-        &self,
-        coord: NodeId,
-        items: Vec<(String, P::Mutation, WriteStamp)>,
-        window: usize,
-    ) -> Result<(), StoreError> {
-        let window = window.max(1);
-        let mut in_flight = std::collections::VecDeque::new();
-        let mut first_err = None;
-        for (key, mutation, stamp) in items {
-            while in_flight.len() >= window {
-                let handle: JoinHandle<Result<(), StoreError>> =
-                    in_flight.pop_front().expect("non-empty window");
-                if let Err(e) = handle.await {
-                    first_err.get_or_insert(e);
-                }
-            }
-            in_flight.push_back(self.write_quorum_spawned(coord, &key, mutation, stamp));
-        }
-        while let Some(handle) = in_flight.pop_front() {
-            if let Err(e) = handle.await {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
     }
 
     async fn write_with_cl(
@@ -449,20 +373,13 @@ impl<P: Partition> ReplicatedTable<P> {
         stamp: WriteStamp,
         need: usize,
     ) -> Result<(), StoreError> {
-        let bytes = HEADER_BYTES + key.len() + P::mutation_bytes(&mutation);
-        let key_owned = key.to_string();
-        let handles = self.fan_out(coord, key, bytes, move |rep| {
-            rep.apply(&key_owned, &mutation, stamp);
-            ((), HEADER_BYTES)
-        });
-        timeout(
-            self.inner.net.sim(),
-            self.inner.cfg.op_timeout,
-            quorum(handles, need),
-        )
-        .await
-        .map(|_| ())
-        .map_err(|_| StoreError::Unavailable)?;
+        let req = StoreReq::Apply {
+            key: key.to_string(),
+            mutation,
+            stamp,
+        };
+        self.quorum_of(coord, key, &req, StoreResp::ack, need)
+            .await?;
         self.count(coord, "quorum_writes", 1);
         self.emit(coord, || EventKind::QuorumWrite {
             key: key.to_string(),
@@ -471,14 +388,18 @@ impl<P: Partition> ReplicatedTable<P> {
         Ok(())
     }
 
-    /// Fans a snapshot read out to every replica of `key`.
-    fn read_fan_out(&self, coord: NodeId, key: &str) -> Vec<JoinHandle<P::Snapshot>> {
-        let key_owned = key.to_string();
-        self.fan_out(coord, key, HEADER_BYTES + key.len(), move |rep| {
-            let snap = rep.snapshot(&key_owned);
-            let bytes = P::snapshot_bytes(&snap);
-            (snap, bytes)
-        })
+    /// Snapshots from the first `need` replicas of `key` to answer.
+    async fn read_replies(
+        &self,
+        coord: NodeId,
+        key: &str,
+        need: usize,
+    ) -> Result<Vec<P::Snapshot>, StoreError> {
+        let req = StoreReq::Snapshot {
+            key: key.to_string(),
+        };
+        self.quorum_of(coord, key, &req, StoreResp::snapshot, need)
+            .await
     }
 
     /// Quorum read (`dsGetQuorum`): reconciles snapshots from a majority of
@@ -490,54 +411,29 @@ impl<P: Partition> ReplicatedTable<P> {
     ///
     /// [`StoreError::Unavailable`] if a majority does not answer in time.
     pub async fn read_quorum(&self, coord: NodeId, key: &str) -> Result<P::Snapshot, StoreError> {
-        let need = self.quorum_size();
-        let handles = self.read_fan_out(coord, key);
-        let replies = timeout(
-            self.inner.net.sim(),
-            self.inner.cfg.op_timeout,
-            quorum(handles, need),
-        )
-        .await
-        .map_err(|_| StoreError::Unavailable)?;
-        let snaps: Vec<P::Snapshot> = replies.into_iter().map(|(_, s)| s).collect();
+        let snaps = self.read_replies(coord, key, self.quorum_size()).await?;
         self.count(coord, "quorum_reads", 1);
         self.emit(coord, || EventKind::QuorumRead {
             key: key.to_string(),
             replies: snaps.len() as u32,
         });
-        let mut it = snaps.iter().cloned();
-        let first = it.next().expect("quorum >= 1");
-        let newest = it.fold(first, |acc, s| P::reconcile(acc, s));
-        if snaps.iter().any(|s| *s != newest) {
-            // Divergence observed: repair all replicas in the background.
+        let (newest, diverged) = reconcile::<P>(&snaps);
+        if diverged {
             self.count(coord, "read_repairs", 1);
             self.emit(coord, || EventKind::ReadRepair {
                 key: key.to_string(),
             });
             for (mutation, stamp) in P::repair(&newest) {
-                let bytes = HEADER_BYTES + key.len() + P::mutation_bytes(&mutation);
-                let key_owned = key.to_string();
-                drop(self.fan_out(coord, key, bytes, move |rep| {
-                    rep.apply(&key_owned, &mutation, stamp);
-                    ((), HEADER_BYTES)
-                }));
+                let req = StoreReq::Apply {
+                    key: key.to_string(),
+                    mutation,
+                    stamp,
+                };
+                // Background write-back to every replica.
+                drop(self.fan_out(coord, key, &req, StoreResp::ack));
             }
         }
         Ok(newest)
-    }
-
-    /// Default stamp an LWT mutation gets if the `decide` closure keeps the
-    /// suggestion: derived from the ballot, so stamps of successive LWTs on
-    /// a key are strictly increasing. The round owns the high bits; the
-    /// proposer id must fit the low 20 bits or stamps could invert across
-    /// rounds.
-    fn ballot_stamp(ballot: Ballot) -> WriteStamp {
-        assert!(
-            u64::from(ballot.proposer) < (1 << 20),
-            "LWT coordinator node id {} exceeds the stamp's proposer field",
-            ballot.proposer
-        );
-        WriteStamp::new((ballot.round << 20) | u64::from(ballot.proposer))
     }
 
     /// Light-weight transaction: linearizable read-decide-write on one key
@@ -560,7 +456,7 @@ impl<P: Partition> ReplicatedTable<P> {
         key: &str,
         mut decide: impl FnMut(&P::Snapshot, WriteStamp) -> Option<(P::Mutation, WriteStamp)>,
     ) -> Result<LwtOutcome<P>, StoreError> {
-        let sim = self.inner.net.sim().clone();
+        let need = self.quorum_size();
         for attempt in 0..self.inner.cfg.lwt_retries {
             if attempt > 0 {
                 self.count(coord, "lwt_retries", 1);
@@ -572,38 +468,33 @@ impl<P: Partition> ReplicatedTable<P> {
                 // proposers must desynchronize or they preempt each other
                 // forever (Cassandra uses randomized back-off here too).
                 let exp = 1u64 << attempt.min(6);
-                let jitter = crate::ring::key_hash(&format!("{}-{}-{}", coord.0, key, attempt))
+                let jitter = key_hash(&format!("{}-{}-{}", coord.0, key, attempt))
                     % (self.inner.cfg.lwt_backoff.as_micros().max(1) * exp);
                 let backoff =
                     self.inner.cfg.lwt_backoff * exp / 2 + SimDuration::from_micros(jitter);
-                sim.sleep(backoff).await;
+                self.rt().sleep(backoff).await;
             }
             let ballot = self.next_ballot(coord, key);
-            let ballot_code = (ballot.round << 20) | u64::from(ballot.proposer);
-            self.emit(coord, || EventKind::Lwt {
-                key: key.to_string(),
-                phase: LwtPhase::Prepare,
-                ballot: ballot_code,
-            });
+            let phase = |phase| {
+                self.emit(coord, || EventKind::Lwt {
+                    key: key.to_string(),
+                    phase,
+                    ballot: ballot_code(ballot),
+                })
+            };
 
             // Phase 1: prepare / promise.
-            let key_owned = key.to_string();
-            let handles = self.fan_out(coord, key, HEADER_BYTES + key.len(), move |rep| {
-                let reply = rep.acceptor(&key_owned).prepare(ballot);
-                let bytes = HEADER_BYTES
-                    + reply
-                        .in_progress
-                        .as_ref()
-                        .map_or(0, |(_, p)| P::mutation_bytes(&p.mutation));
-                (reply, bytes)
-            });
-            let need = self.quorum_size();
-            let replies = timeout(&sim, self.inner.cfg.op_timeout, quorum(handles, need))
-                .await
-                .map_err(|_| StoreError::Unavailable)?;
+            phase(LwtPhase::Prepare);
+            let req = StoreReq::Prepare {
+                key: key.to_string(),
+                ballot,
+            };
+            let replies = self
+                .quorum_of(coord, key, &req, StoreResp::promise, need)
+                .await?;
             let mut promises = Vec::new();
             let mut preempted = false;
-            for (_, reply) in replies {
+            for reply in replies {
                 self.observe_ballot(coord, key, reply.current_promise);
                 if reply.promised {
                     promises.push(reply);
@@ -617,132 +508,84 @@ impl<P: Partition> ReplicatedTable<P> {
 
             // Complete any in-progress proposal before our own update.
             if let Chosen::MustComplete(_, proposal) = choose_value(&promises) {
-                self.emit(coord, || EventKind::Lwt {
-                    key: key.to_string(),
-                    phase: LwtPhase::MustComplete,
-                    ballot: ballot_code,
-                });
-                if self
-                    .accept_quorum(coord, key, ballot, proposal.clone())
-                    .await?
-                {
-                    self.commit_quorum(coord, key, ballot, &proposal).await?;
+                phase(LwtPhase::MustComplete);
+                if self.accept_quorum(coord, key, ballot, &proposal).await? {
+                    self.commit_quorum(coord, key, ballot, proposal).await?;
                 }
                 // Either way, re-run from prepare with a fresh view.
                 continue;
             }
 
             // Phase 2: quorum read of the current partition state.
-            self.emit(coord, || EventKind::Lwt {
-                key: key.to_string(),
-                phase: LwtPhase::Read,
-                ballot: ballot_code,
-            });
+            phase(LwtPhase::Read);
             let before = self.read_quorum(coord, key).await?;
 
             // Phase 3: decide and propose.
-            let Some((mutation, stamp)) = decide(&before, Self::ballot_stamp(ballot)) else {
-                self.emit(coord, || EventKind::LwtResult {
-                    key: key.to_string(),
-                    applied: false,
-                    attempts: attempt + 1,
-                });
-                return Ok(LwtOutcome {
-                    applied: false,
-                    before,
-                });
-            };
-            self.emit(coord, || EventKind::Lwt {
-                key: key.to_string(),
-                phase: LwtPhase::Propose,
-                ballot: ballot_code,
-            });
-            let proposal = Proposal { mutation, stamp };
-            if !self
-                .accept_quorum(coord, key, ballot, proposal.clone())
-                .await?
-            {
-                continue;
-            }
+            let decision = decide(&before, ballot_stamp(ballot));
+            let applied = decision.is_some();
+            if let Some((mutation, stamp)) = decision {
+                phase(LwtPhase::Propose);
+                let proposal = Proposal { mutation, stamp };
+                if !self.accept_quorum(coord, key, ballot, &proposal).await? {
+                    continue;
+                }
 
-            // Phase 4: commit (replicas apply the mutation).
-            self.emit(coord, || EventKind::Lwt {
-                key: key.to_string(),
-                phase: LwtPhase::Commit,
-                ballot: ballot_code,
-            });
-            self.commit_quorum(coord, key, ballot, &proposal).await?;
+                // Phase 4: commit (replicas apply the mutation).
+                phase(LwtPhase::Commit);
+                self.commit_quorum(coord, key, ballot, proposal).await?;
+            }
             self.emit(coord, || EventKind::LwtResult {
                 key: key.to_string(),
-                applied: true,
+                applied,
                 attempts: attempt + 1,
             });
-            return Ok(LwtOutcome {
-                applied: true,
-                before,
-            });
+            return Ok(LwtOutcome { applied, before });
         }
         self.count(coord, "lwt_contention", 1);
         Err(StoreError::Contention)
     }
 
+    /// Whether a quorum accepted `proposal` under `ballot`.
     async fn accept_quorum(
         &self,
         coord: NodeId,
         key: &str,
         ballot: Ballot,
-        proposal: Proposal<P>,
+        proposal: &Proposal<P>,
     ) -> Result<bool, StoreError> {
-        let bytes = HEADER_BYTES + key.len() + P::mutation_bytes(&proposal.mutation);
-        let key_owned = key.to_string();
-        let handles = self.fan_out(coord, key, bytes, move |rep| {
-            let reply = rep.acceptor(&key_owned).accept(ballot, proposal.clone());
-            (reply, HEADER_BYTES)
-        });
-        let need = self.quorum_size();
-        let replies = timeout(
-            self.inner.net.sim(),
-            self.inner.cfg.op_timeout,
-            quorum(handles, need),
-        )
-        .await
-        .map_err(|_| StoreError::Unavailable)?;
+        let req = StoreReq::Accept {
+            key: key.to_string(),
+            ballot,
+            mutation: proposal.mutation.clone(),
+            stamp: proposal.stamp,
+        };
+        let replies = self
+            .quorum_of(coord, key, &req, StoreResp::accepted, self.quorum_size())
+            .await?;
         let mut ok = true;
-        for (_, reply) in &replies {
+        for reply in &replies {
             self.observe_ballot(coord, key, reply.current_promise);
             ok &= reply.accepted;
         }
         Ok(ok)
     }
 
-    /// Commit carries the proposal itself (as Cassandra's commit writes
-    /// the mutation into the table): a replica that missed the accept
-    /// still applies the committed value, so even CL=ONE reads converge.
     async fn commit_quorum(
         &self,
         coord: NodeId,
         key: &str,
         ballot: Ballot,
-        proposal: &Proposal<P>,
+        proposal: Proposal<P>,
     ) -> Result<(), StoreError> {
-        let key_owned = key.to_string();
-        let proposal = proposal.clone();
-        let bytes = HEADER_BYTES + key.len() + P::mutation_bytes(&proposal.mutation);
-        let handles = self.fan_out(coord, key, bytes, move |rep| {
-            // Clear the Paxos round (no-op if this replica never accepted).
-            let _ = rep.acceptor(&key_owned).commit(ballot);
-            rep.apply(&key_owned, &proposal.mutation, proposal.stamp);
-            ((), HEADER_BYTES)
-        });
-        let need = self.quorum_size();
-        timeout(
-            self.inner.net.sim(),
-            self.inner.cfg.op_timeout,
-            quorum(handles, need),
-        )
-        .await
-        .map(|_| ())
-        .map_err(|_| StoreError::Unavailable)
+        let req = StoreReq::Commit {
+            key: key.to_string(),
+            ballot,
+            mutation: proposal.mutation,
+            stamp: proposal.stamp,
+        };
+        self.quorum_of(coord, key, &req, StoreResp::ack, self.quorum_size())
+            .await?;
+        Ok(())
     }
 
     fn next_ballot(&self, coord: NodeId, key: &str) -> Ballot {
@@ -761,44 +604,24 @@ impl<P: Partition> ReplicatedTable<P> {
         gen.observe(ballot);
     }
 
-    /// Scans the replica nearest to `coord` for all live keys, in sorted
-    /// order (Cassandra full-table scan at CL=ONE; the paper's
-    /// `getAllKeys` helper, §VII-a). The view may be stale, which the
-    /// paper's job-scheduler pattern explicitly tolerates.
+    /// Scans one replica for all live keys, in sorted order (Cassandra
+    /// full-table scan at CL=ONE; the paper's `getAllKeys` helper, §VII-a).
+    /// The view may be stale, which the paper's job-scheduler pattern
+    /// explicitly tolerates.
     ///
     /// # Errors
     ///
     /// [`StoreError::Unavailable`] if the replica does not answer in time.
     pub async fn list_keys_local(&self, coord: NodeId) -> Result<Vec<String>, StoreError> {
-        // Nearest store node overall (scans are not per-key routed).
-        let (idx, node) = (0..self.inner.nodes.len())
-            .map(|i| (i, self.inner.nodes[i]))
-            .min_by_key(|&(i, n)| (self.inner.net.propagation(coord, n), i))
-            .expect("at least one node");
-        let net = self.inner.net.clone();
-        let replica = Rc::clone(&self.inner.replicas[idx]);
-        let fut = net.rpc(coord, node, HEADER_BYTES, move || {
-            let rep = replica.borrow_mut();
-            let mut keys: Vec<String> = rep
-                .partitions
-                .iter()
-                .filter(|(_, p)| p.exists())
-                .map(|(k, _)| k.clone())
-                .collect();
-            keys.sort_unstable();
-            let bytes = HEADER_BYTES + keys.iter().map(|k| k.len() + 8).sum::<usize>();
-            (keys, bytes)
-        });
-        timeout(self.inner.net.sim(), self.inner.cfg.op_timeout, fut)
+        let to = self.scan_target(coord);
+        self.call_once(coord, to, StoreReq::ListKeys, StoreResp::keys)
             .await
-            .map_err(|_| StoreError::Unavailable)
     }
 
-    /// Range scan at the replica nearest to `coord`: applies `extract` to
-    /// every live partition and returns the `(key, value)` pairs in one
-    /// round trip (Cassandra range query at CL=ONE). Used by monitoring
-    /// sweeps (the failure detector) that would otherwise issue one RPC
-    /// per key.
+    /// Range scan at one replica: applies `extract` to every live
+    /// partition and returns the `(key, value)` pairs in one round trip
+    /// (Cassandra range query at CL=ONE). Used by monitoring sweeps (the
+    /// failure detector) that would otherwise issue one RPC per key.
     ///
     /// # Errors
     ///
@@ -808,27 +631,13 @@ impl<P: Partition> ReplicatedTable<P> {
         coord: NodeId,
         extract: impl Fn(&P) -> R + 'static,
     ) -> Result<Vec<(String, R)>, StoreError> {
-        let (idx, node) = (0..self.inner.nodes.len())
-            .map(|i| (i, self.inner.nodes[i]))
-            .min_by_key(|&(i, n)| (self.inner.net.propagation(coord, n), i))
-            .expect("at least one node");
-        let net = self.inner.net.clone();
-        let replica = Rc::clone(&self.inner.replicas[idx]);
-        let fut = net.rpc(coord, node, HEADER_BYTES, move || {
-            let rep = replica.borrow();
-            let mut rows: Vec<(String, R)> = rep
-                .partitions
-                .iter()
-                .filter(|(_, p)| p.exists())
-                .map(|(k, p)| (k.clone(), extract(p)))
-                .collect();
-            rows.sort_by(|a, b| a.0.cmp(&b.0));
-            let bytes = HEADER_BYTES + rows.len() * 32;
-            (rows, bytes)
-        });
-        timeout(self.inner.net.sim(), self.inner.cfg.op_timeout, fut)
+        let scan = self
+            .inner
+            .link
+            .scan(coord, self.scan_target(coord), extract);
+        timeout(self.rt(), self.inner.cfg.op_timeout, scan)
             .await
-            .map_err(|_| StoreError::Unavailable)
+            .map_err(|_| StoreError::Unavailable)?
     }
 
     /// Live keys at one specific replica (one round trip) — used by
@@ -842,24 +651,9 @@ impl<P: Partition> ReplicatedTable<P> {
         coord: NodeId,
         replica_idx: usize,
     ) -> Result<Vec<String>, StoreError> {
-        let node = self.inner.nodes[replica_idx];
-        let net = self.inner.net.clone();
-        let replica = Rc::clone(&self.inner.replicas[replica_idx]);
-        let fut = net.rpc(coord, node, HEADER_BYTES, move || {
-            let rep = replica.borrow();
-            let mut keys: Vec<String> = rep
-                .partitions
-                .iter()
-                .filter(|(_, p)| p.exists())
-                .map(|(k, _)| k.clone())
-                .collect();
-            keys.sort_unstable();
-            let bytes = HEADER_BYTES + keys.iter().map(|k| k.len() + 8).sum::<usize>();
-            (keys, bytes)
-        });
-        timeout(self.inner.net.sim(), self.inner.cfg.op_timeout, fut)
+        let to = (replica_idx, self.inner.nodes[replica_idx]);
+        self.call_once(coord, to, StoreReq::ListKeys, StoreResp::keys)
             .await
-            .map_err(|_| StoreError::Unavailable)
     }
 
     /// Anti-entropy repair of one key: reads every reachable replica,
@@ -875,45 +669,26 @@ impl<P: Partition> ReplicatedTable<P> {
     ///
     /// [`StoreError::Unavailable`] if not even a majority answers.
     pub async fn repair_key(&self, coord: NodeId, key: &str) -> Result<bool, StoreError> {
-        let sim = self.inner.net.sim().clone();
-        let rf = self.inner.placement.rf();
-        let handles = self.read_fan_out(coord, key);
+        let need = self.quorum_size();
         // Prefer all rf replies; settle for a majority if stragglers hang.
-        let replies = match timeout(&sim, self.inner.cfg.op_timeout, quorum(handles, rf)).await {
-            Ok(r) => r,
-            Err(_) => {
-                // Down replicas: redo with a majority requirement.
-                let handles = self.read_fan_out(coord, key);
-                timeout(
-                    &sim,
-                    self.inner.cfg.op_timeout,
-                    quorum(handles, self.quorum_size()),
-                )
-                .await
-                .map_err(|_| StoreError::Unavailable)?
-            }
+        let snaps = match self
+            .read_replies(coord, key, self.inner.placement.rf())
+            .await
+        {
+            Ok(snaps) => snaps,
+            Err(_) => self.read_replies(coord, key, need).await?,
         };
-        let snaps: Vec<P::Snapshot> = replies.into_iter().map(|(_, s)| s).collect();
-        let mut it = snaps.iter().cloned();
-        let first = it.next().expect("at least a majority");
-        let newest = it.fold(first, |acc, s| P::reconcile(acc, s));
-        let diverged = snaps.iter().any(|s| *s != newest);
+        let (newest, diverged) = reconcile::<P>(&snaps);
         if diverged {
             for (mutation, stamp) in P::repair(&newest) {
-                let bytes = HEADER_BYTES + key.len() + P::mutation_bytes(&mutation);
-                let key_owned = key.to_string();
-                let handles = self.fan_out(coord, key, bytes, move |rep| {
-                    rep.apply(&key_owned, &mutation, stamp);
-                    ((), HEADER_BYTES)
-                });
+                let req = StoreReq::Apply {
+                    key: key.to_string(),
+                    mutation,
+                    stamp,
+                };
                 // Wait for a majority of each repair write; stragglers
                 // continue in the background.
-                let _ = timeout(
-                    &sim,
-                    self.inner.cfg.op_timeout,
-                    quorum(handles, self.quorum_size()),
-                )
-                .await;
+                let _ = self.quorum_of(coord, key, &req, StoreResp::ack, need).await;
             }
         }
         Ok(diverged)
@@ -946,21 +721,14 @@ impl<P: Partition> ReplicatedTable<P> {
         }
         Ok(repaired)
     }
+}
 
-    /// Direct, network-free view of one replica's partition state — test
-    /// and experiment instrumentation only.
-    pub fn peek_replica(&self, replica_idx: usize, key: &str) -> P::Snapshot {
-        self.inner.replicas[replica_idx].borrow_mut().snapshot(key)
-    }
-
-    /// Whether every replica of `key` currently holds an identical
-    /// snapshot (by `Debug` rendering) — convergence check for tests.
-    pub fn converged(&self, key: &str) -> bool {
-        let snaps: Vec<String> = self
-            .replicas_of(key)
-            .into_iter()
-            .map(|(i, _)| format!("{:?}", self.peek_replica(i, key)))
-            .collect();
-        snaps.windows(2).all(|w| w[0] == w[1])
-    }
+/// The newest view across `snaps` (non-empty), and whether any of them
+/// differs from it.
+fn reconcile<P: Partition>(snaps: &[P::Snapshot]) -> (P::Snapshot, bool) {
+    let mut it = snaps.iter().cloned();
+    let first = it.next().expect("at least one reply");
+    let newest = it.fold(first, |acc, s| P::reconcile(acc, s));
+    let diverged = snaps.iter().any(|s| *s != newest);
+    (newest, diverged)
 }

@@ -1,61 +1,152 @@
 //! End-to-end behaviour of the replicated store over the simulated WAN:
 //! latency structure, consistency levels, failure handling, and LWT
 //! linearizability.
+//!
+//! Every case runs twice, once per [`ReplicaLink`]: over the simulator link
+//! ([`ReplicatedTable`]) and over the wire link ([`RemoteTable`] on
+//! [`SimTransport`], each store node serving frames with [`serve_frame`]).
+//! The network is the same simulated WAN either way, so the coordinator's
+//! handling of contention, partitions, silent replicas and divergence is
+//! checked on both media. `links_behave_identically` then runs one scripted
+//! history over each and requires the same results, replica states, counters
+//! and events.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use music_quorumstore::{
-    DataRow, Partition, Put, ReplicatedTable, StoreError, TableConfig, WriteStamp,
+    serve_frame, DataRow, Partition, Put, RemoteTable, ReplicaLink, ReplicatedTable, RowSnapshot,
+    SimLink, StoreError, Table, TableConfig, TableReplica, WireLink, WriteStamp,
 };
+use music_runtime::SimTransport;
 use music_simnet::prelude::*;
+use music_telemetry::{EventKind, LwtPhase, Recorder};
 
-struct Fixture {
+/// Network-free view of a key at the replica with the given index.
+type Peek = Rc<dyn Fn(usize, &str) -> RowSnapshot>;
+
+struct Fixture<L: ReplicaLink<DataRow>> {
     sim: Sim,
     net: Network,
-    table: ReplicatedTable<DataRow>,
+    table: Table<DataRow, L>,
     store_nodes: Vec<NodeId>,
     clients: Vec<NodeId>,
+    peek: Peek,
 }
 
-/// One store node and one client per site of `profile`, zero service costs
-/// (pure latency structure).
-fn fixture(profile: LatencyProfile) -> Fixture {
-    fixture_with(
-        profile,
-        NetConfig {
-            service_fixed: SimDuration::ZERO,
-            bandwidth_bytes_per_sec: u64::MAX / 2,
-            loss: 0.0,
-            jitter_frac: 0.0,
-        },
-    )
+impl<L: ReplicaLink<DataRow>> Fixture<L> {
+    fn peek_replica(&self, idx: usize, key: &str) -> RowSnapshot {
+        (self.peek)(idx, key)
+    }
+
+    /// Whether all three replicas hold the same snapshot of `key`.
+    fn converged(&self, key: &str) -> bool {
+        (1..3).all(|i| self.peek_replica(i, key) == self.peek_replica(0, key))
+    }
 }
 
-fn fixture_with(profile: LatencyProfile, cfg: NetConfig) -> Fixture {
+/// Zero service costs: pure latency structure, and byte counts (modelled on
+/// one link, real on the other) cannot move a timing.
+fn quiet() -> NetConfig {
+    NetConfig {
+        service_fixed: SimDuration::ZERO,
+        bandwidth_bytes_per_sec: u64::MAX / 2,
+        loss: 0.0,
+        jitter_frac: 0.0,
+    }
+}
+
+/// The 1Us WAN with one store node and one client per site.
+fn wan(cfg: NetConfig) -> (Sim, Network, Vec<NodeId>, Vec<NodeId>) {
     let sim = Sim::new();
+    let profile = LatencyProfile::one_us();
     let net = Network::new(sim.clone(), profile.clone(), cfg, 7);
-    let store_nodes: Vec<_> = (0..profile.site_count() as u32)
-        .map(|s| net.add_node(SiteId(s)))
-        .collect();
-    let clients: Vec<_> = (0..profile.site_count() as u32)
-        .map(|s| net.add_node(SiteId(s)))
-        .collect();
+    let sites = 0..profile.site_count() as u32;
+    let store_nodes = sites.clone().map(|s| net.add_node(SiteId(s))).collect();
+    let clients = sites.map(|s| net.add_node(SiteId(s))).collect();
+    (sim, net, store_nodes, clients)
+}
+
+fn sim_fixture(cfg: NetConfig, recorder: Recorder) -> Fixture<SimLink<DataRow>> {
+    let (sim, net, store_nodes, clients) = wan(cfg);
+    net.set_recorder(recorder);
     let table = ReplicatedTable::new(net.clone(), store_nodes.clone(), 3, TableConfig::default());
+    let peeked = table.clone();
     Fixture {
         sim,
         net,
         table,
         store_nodes,
         clients,
+        peek: Rc::new(move |idx, key| peeked.peek_replica(idx, key)),
     }
 }
+
+fn wire_fixture(cfg: NetConfig, recorder: Recorder) -> Fixture<WireLink<DataRow, SimTransport>> {
+    let (sim, net, store_nodes, clients) = wan(cfg);
+    let transport = SimTransport::new(net.clone());
+    let replicas: Vec<Rc<RefCell<TableReplica<DataRow>>>> =
+        store_nodes.iter().map(|_| Rc::default()).collect();
+    for (&node, replica) in store_nodes.iter().zip(&replicas) {
+        let replica = Rc::clone(replica);
+        transport.serve(node, move |raw| serve_frame(&mut replica.borrow_mut(), raw));
+    }
+    let table = RemoteTable::new(
+        transport,
+        store_nodes.clone(),
+        3,
+        TableConfig::default(),
+        recorder,
+    );
+    Fixture {
+        sim,
+        net,
+        table,
+        store_nodes,
+        clients,
+        peek: Rc::new(move |idx, key| replicas[idx].borrow_mut().snapshot(key)),
+    }
+}
+
+/// Instantiates each generic case once per link.
+macro_rules! on_both_links {
+    ($($case:ident),* $(,)?) => {
+        mod sim_link {
+            $(#[test] fn $case() { super::$case(super::sim_fixture) })*
+        }
+        mod wire_link {
+            $(#[test] fn $case() { super::$case(super::wire_fixture) })*
+        }
+    };
+}
+
+on_both_links!(
+    quorum_write_then_quorum_read_round_trips,
+    quorum_write_latency_is_one_rtt_to_second_nearest_replica,
+    eventual_write_acks_locally_and_converges_globally,
+    eventual_read_hits_one_replica_and_may_be_stale,
+    quorum_survives_one_replica_crash_but_not_two,
+    unacknowledged_write_may_still_land,
+    lwt_takes_about_four_wan_round_trips,
+    lwt_compare_failure_reports_current_state,
+    racing_lwt_appends_apply_exactly_once,
+    lwt_under_message_loss_still_linearizes,
+    scan_local_lists_live_rows_in_order,
+    transient_partition_only_delays_propagation,
+    read_repair_heals_divergent_replicas,
+    anti_entropy_sweep_heals_everything,
+    anti_entropy_tolerates_a_down_replica,
+);
 
 fn b(s: &'static str) -> Bytes {
     Bytes::from_static(s.as_bytes())
 }
 
-#[test]
-fn quorum_write_then_quorum_read_round_trips() {
-    let f = fixture(LatencyProfile::one_us());
+fn quorum_write_then_quorum_read_round_trips<L: ReplicaLink<DataRow>>(
+    mk: fn(NetConfig, Recorder) -> Fixture<L>,
+) {
+    let f = mk(quiet(), Recorder::off());
     let (table, client) = (f.table.clone(), f.clients[0]);
     f.sim.block_on(async move {
         table
@@ -68,11 +159,12 @@ fn quorum_write_then_quorum_read_round_trips() {
     });
 }
 
-#[test]
-fn quorum_write_latency_is_one_rtt_to_second_nearest_replica() {
+fn quorum_write_latency_is_one_rtt_to_second_nearest_replica<L: ReplicaLink<DataRow>>(
+    mk: fn(NetConfig, Recorder) -> Fixture<L>,
+) {
     // Client at Ohio (site 0); replicas at Ohio/N.Cal/Oregon. Quorum = 2:
     // the local replica (0.2ms RTT) and the nearest remote (N.Cal, 53.79ms).
-    let f = fixture(LatencyProfile::one_us());
+    let f = mk(quiet(), Recorder::off());
     let (table, client, sim) = (f.table.clone(), f.clients[0], f.sim.clone());
     let elapsed = f.sim.block_on(async move {
         let t0 = sim.now();
@@ -85,11 +177,11 @@ fn quorum_write_latency_is_one_rtt_to_second_nearest_replica() {
     assert_eq!(elapsed.as_micros(), 53_790);
 }
 
-#[test]
-fn eventual_write_acks_locally_and_converges_globally() {
-    let f = fixture(LatencyProfile::one_us());
+fn eventual_write_acks_locally_and_converges_globally<L: ReplicaLink<DataRow>>(
+    mk: fn(NetConfig, Recorder) -> Fixture<L>,
+) {
+    let f = mk(quiet(), Recorder::off());
     let (table, client, sim) = (f.table.clone(), f.clients[0], f.sim.clone());
-    let table2 = f.table.clone();
     let elapsed = f.sim.block_on(async move {
         let t0 = sim.now();
         table
@@ -102,15 +194,13 @@ fn eventual_write_acks_locally_and_converges_globally() {
     assert_eq!(elapsed.as_micros(), 200);
     // Background propagation has not necessarily finished yet; drain it.
     f.sim.run();
-    assert!(
-        table2.converged("k"),
-        "all replicas converge after propagation"
-    );
+    assert!(f.converged("k"), "all replicas converge after propagation");
 }
 
-#[test]
-fn eventual_read_hits_nearest_replica_and_may_be_stale() {
-    let f = fixture(LatencyProfile::one_us());
+fn eventual_read_hits_one_replica_and_may_be_stale<L: ReplicaLink<DataRow>>(
+    mk: fn(NetConfig, Recorder) -> Fixture<L>,
+) {
+    let f = mk(quiet(), Recorder::off());
     let table = f.table.clone();
     let (ohio_client, frankfurt_client) = (f.clients[0], f.clients[2]);
     f.sim.block_on(async move {
@@ -125,9 +215,10 @@ fn eventual_read_hits_nearest_replica_and_may_be_stale() {
     });
 }
 
-#[test]
-fn quorum_survives_one_replica_crash_but_not_two() {
-    let f = fixture(LatencyProfile::one_us());
+fn quorum_survives_one_replica_crash_but_not_two<L: ReplicaLink<DataRow>>(
+    mk: fn(NetConfig, Recorder) -> Fixture<L>,
+) {
+    let f = mk(quiet(), Recorder::off());
     let (table, client, net) = (f.table.clone(), f.clients[0], f.net.clone());
     let (s1, s2) = (f.store_nodes[1], f.store_nodes[2]);
     f.sim.block_on(async move {
@@ -148,15 +239,15 @@ fn quorum_survives_one_replica_crash_but_not_two() {
     });
 }
 
-#[test]
-fn unacknowledged_write_may_still_land() {
+fn unacknowledged_write_may_still_land<L: ReplicaLink<DataRow>>(
+    mk: fn(NetConfig, Recorder) -> Fixture<L>,
+) {
     // The coordinator times out (no quorum), yet the surviving replica has
     // applied the write: this is the "pending forever" case of §V-C that
     // MUSIC's synchFlag machinery exists to repair.
-    let f = fixture(LatencyProfile::one_us());
+    let f = mk(quiet(), Recorder::off());
     let (table, client, net) = (f.table.clone(), f.clients[0], f.net.clone());
     let (s1, s2) = (f.store_nodes[1], f.store_nodes[2]);
-    let table2 = f.table.clone();
     f.sim.block_on(async move {
         net.set_node_up(s1, false);
         net.set_node_up(s2, false);
@@ -168,13 +259,14 @@ fn unacknowledged_write_may_still_land() {
     });
     f.sim.run();
     // Replica 0 (co-located with the client) applied it anyway.
-    let snap = table2.peek_replica(0, "k");
+    let snap = f.peek_replica(0, "k");
     assert_eq!(snap.value, Some(b("ghost")));
 }
 
-#[test]
-fn lwt_takes_about_four_wan_round_trips() {
-    let f = fixture(LatencyProfile::one_us());
+fn lwt_takes_about_four_wan_round_trips<L: ReplicaLink<DataRow>>(
+    mk: fn(NetConfig, Recorder) -> Fixture<L>,
+) {
+    let f = mk(quiet(), Recorder::off());
     let (table, client, sim) = (f.table.clone(), f.clients[0], f.sim.clone());
     let elapsed = f.sim.block_on(async move {
         let t0 = sim.now();
@@ -191,9 +283,10 @@ fn lwt_takes_about_four_wan_round_trips() {
     assert_eq!(elapsed.as_micros(), 4 * 53_790);
 }
 
-#[test]
-fn lwt_compare_failure_reports_current_state() {
-    let f = fixture(LatencyProfile::one_us());
+fn lwt_compare_failure_reports_current_state<L: ReplicaLink<DataRow>>(
+    mk: fn(NetConfig, Recorder) -> Fixture<L>,
+) {
+    let f = mk(quiet(), Recorder::off());
     let (table, client) = (f.table.clone(), f.clients[0]);
     f.sim.block_on(async move {
         table
@@ -217,13 +310,14 @@ fn lwt_compare_failure_reports_current_state() {
     });
 }
 
-#[test]
-fn racing_lwt_appends_apply_exactly_once() {
+fn racing_lwt_appends_apply_exactly_once<L: ReplicaLink<DataRow>>(
+    mk: fn(NetConfig, Recorder) -> Fixture<L>,
+) {
     // Linearizability test with *idempotent* CAS operations (blind
     // increments can legitimately double-apply under LWT retries, exactly
     // as in Cassandra): each worker appends its unique tag only if the tag
     // is not yet present. Every tag must end up present exactly once.
-    let f = fixture(LatencyProfile::one_us());
+    let f = mk(quiet(), Recorder::off());
     let table = f.table.clone();
     let clients = f.clients.clone();
     let sim = f.sim.clone();
@@ -278,8 +372,9 @@ fn racing_lwt_appends_apply_exactly_once() {
     assert_eq!(tags, expected, "each tag applied exactly once");
 }
 
-#[test]
-fn lwt_under_message_loss_still_linearizes() {
+fn lwt_under_message_loss_still_linearizes<L: ReplicaLink<DataRow>>(
+    mk: fn(NetConfig, Recorder) -> Fixture<L>,
+) {
     let mut cfg = NetConfig {
         service_fixed: SimDuration::ZERO,
         bandwidth_bytes_per_sec: u64::MAX / 2,
@@ -287,7 +382,7 @@ fn lwt_under_message_loss_still_linearizes() {
         jitter_frac: 0.1,
     };
     cfg.loss = 0.05;
-    let f = fixture_with(LatencyProfile::one_us(), cfg);
+    let f = mk(cfg, Recorder::off());
     let table = f.table.clone();
     let clients = f.clients.clone();
     let sim = f.sim.clone();
@@ -342,9 +437,10 @@ fn lwt_under_message_loss_still_linearizes() {
     );
 }
 
-#[test]
-fn scan_local_lists_live_rows_in_order() {
-    let f = fixture(LatencyProfile::one_us());
+fn scan_local_lists_live_rows_in_order<L: ReplicaLink<DataRow>>(
+    mk: fn(NetConfig, Recorder) -> Fixture<L>,
+) {
+    let f = mk(quiet(), Recorder::off());
     let (table, client) = (f.table.clone(), f.clients[0]);
     let table2 = f.table.clone();
     f.sim.block_on(async move {
@@ -375,14 +471,14 @@ fn scan_local_lists_live_rows_in_order() {
     );
 }
 
-#[test]
-fn transient_partition_only_delays_propagation() {
+fn transient_partition_only_delays_propagation<L: ReplicaLink<DataRow>>(
+    mk: fn(NetConfig, Recorder) -> Fixture<L>,
+) {
     // rpc_reliable retransmission: a replica cut off during a write still
     // receives it after the partition heals (within the retry window).
-    let f = fixture(LatencyProfile::one_us());
+    let f = mk(quiet(), Recorder::off());
     let (table, client, net) = (f.table.clone(), f.clients[0], f.net.clone());
     let s2 = f.store_nodes[2];
-    let table2 = f.table.clone();
     f.sim.block_on(async move {
         net.set_link(client, s2, false);
         table
@@ -395,18 +491,18 @@ fn transient_partition_only_delays_propagation() {
     });
     f.sim.run();
     assert_eq!(
-        table2.peek_replica(2, "k").value,
+        f.peek_replica(2, "k").value,
         Some(b("through")),
         "retransmission delivered the write after healing"
     );
 }
 
-#[test]
-fn read_repair_heals_divergent_replicas() {
-    let f = fixture(LatencyProfile::one_us());
+fn read_repair_heals_divergent_replicas<L: ReplicaLink<DataRow>>(
+    mk: fn(NetConfig, Recorder) -> Fixture<L>,
+) {
+    let f = mk(quiet(), Recorder::off());
     let (table, client, net) = (f.table.clone(), f.clients[0], f.net.clone());
     let s2 = f.store_nodes[2];
-    let table2 = f.table.clone();
     f.sim.block_on(async move {
         // Write while one replica is dead: it stays stale even after its
         // recovery (the propagation window has passed).
@@ -418,11 +514,7 @@ fn read_repair_heals_divergent_replicas() {
     });
     f.sim.run(); // exhaust retransmission attempts against the dead node
     f.net.set_node_up(s2, true);
-    assert_eq!(
-        f.table.peek_replica(2, "k").value,
-        None,
-        "replica 2 is stale"
-    );
+    assert_eq!(f.peek_replica(2, "k").value, None, "replica 2 is stale");
 
     // A quorum read that *sees the divergence* repairs all replicas.
     // Force the read to include the stale replica by killing replica 0.
@@ -436,20 +528,20 @@ fn read_repair_heals_divergent_replicas() {
     });
     f.sim.run(); // let the repair writes land
     assert_eq!(
-        table2.peek_replica(2, "k").value,
+        f.peek_replica(2, "k").value,
         Some(b("fresh")),
         "read repair healed the straggler"
     );
 }
 
-#[test]
-fn anti_entropy_sweep_heals_everything() {
+fn anti_entropy_sweep_heals_everything<L: ReplicaLink<DataRow>>(
+    mk: fn(NetConfig, Recorder) -> Fixture<L>,
+) {
     // Diverge one replica across several keys (writes during a partition,
     // retransmission window exhausted), then one repair_all pass heals it.
-    let f = fixture(LatencyProfile::one_us());
+    let f = mk(quiet(), Recorder::off());
     let (table, client, net) = (f.table.clone(), f.clients[0], f.net.clone());
     let s2 = f.store_nodes[2];
-    let table2 = f.table.clone();
     f.sim.block_on(async move {
         net.set_node_up(s2, false);
         for i in 0..4 {
@@ -467,7 +559,7 @@ fn anti_entropy_sweep_heals_everything() {
     f.sim.run(); // exhaust retransmissions against the dead node
     f.net.set_node_up(s2, true);
     for i in 0..4 {
-        assert_eq!(f.table.peek_replica(2, &format!("ae-{i}")).value, None);
+        assert_eq!(f.peek_replica(2, &format!("ae-{i}")).value, None);
     }
 
     let (table, client) = (f.table.clone(), f.clients[1]);
@@ -478,8 +570,8 @@ fn anti_entropy_sweep_heals_everything() {
     f.sim.run(); // let straggler repair writes land
     for i in 0..4 {
         let key = format!("ae-{i}");
-        assert!(table2.converged(&key), "{key} healed everywhere");
-        assert_eq!(table2.peek_replica(2, &key).value, Some(b("healed")));
+        assert!(f.converged(&key), "{key} healed everywhere");
+        assert_eq!(f.peek_replica(2, &key).value, Some(b("healed")));
     }
 
     // A second sweep finds nothing to do.
@@ -490,9 +582,10 @@ fn anti_entropy_sweep_heals_everything() {
     assert_eq!(repaired, 0, "idempotent once converged");
 }
 
-#[test]
-fn anti_entropy_tolerates_a_down_replica() {
-    let f = fixture(LatencyProfile::one_us());
+fn anti_entropy_tolerates_a_down_replica<L: ReplicaLink<DataRow>>(
+    mk: fn(NetConfig, Recorder) -> Fixture<L>,
+) {
+    let f = mk(quiet(), Recorder::off());
     let (table, client, net) = (f.table.clone(), f.clients[0], f.net.clone());
     let s1 = f.store_nodes[1];
     f.sim.block_on(async move {
@@ -540,54 +633,173 @@ fn sharded_nine_node_cluster_places_and_serves_keys() {
     }
 }
 
-#[test]
-fn windowed_multi_put_overlaps_quorum_round_trips() {
-    // 16 writes to the same key with a window of 8 must take far fewer
-    // than 16 sequential quorum RTTs (~54ms each on 1Us): the window keeps
-    // 8 writes in flight at once.
-    let f = fixture(LatencyProfile::one_us());
-    let (table, client, sim) = (f.table.clone(), f.clients[0], f.sim.clone());
-    let elapsed = f.sim.block_on(async move {
-        let items: Vec<_> = (0..16u64)
-            .map(|i| {
-                (
-                    "k".to_string(),
-                    Put::value(Bytes::from(format!("v{i}"))),
-                    WriteStamp::new(i + 1),
-                )
-            })
-            .collect();
-        let t0 = sim.now();
-        table.write_quorum_many(client, items, 8).await.unwrap();
-        sim.now() - t0
+/// What one run of [`scripted_history`] observed.
+#[derive(PartialEq, Debug)]
+struct History {
+    /// Every operation's result and the virtual time it returned at.
+    results: Vec<String>,
+    /// Final snapshot of every key at every replica.
+    replicas: Vec<String>,
+    /// Totals of `quorum_reads`, `quorum_writes`, `lwt_retries`,
+    /// `read_repairs`.
+    counters: [u64; 4],
+    /// The store-level events each of the two coordinators emitted, in
+    /// order.
+    events: [Vec<EventKind>; 2],
+}
+
+/// One fixed history touching every coordinator path: quorum write/read, a
+/// CL=ONE read, LWTs racing from two coordinators, an LWT that finds
+/// another's in-progress proposal, a read that repairs a stale replica, and
+/// a write whose replicas stay cut off until the operation times out.
+fn scripted_history<L: ReplicaLink<DataRow>>(f: Fixture<L>) -> History {
+    let recorder = f.table.link().recorder();
+    let (table, sim, net) = (f.table.clone(), f.sim.clone(), f.net.clone());
+    let (a, c, clients) = (f.clients[0], f.clients[1], f.clients.clone());
+    let (s0, s1, s2) = (f.store_nodes[0], f.store_nodes[1], f.store_nodes[2]);
+    let append = |tag: &'static str| {
+        move |snap: &RowSnapshot, suggested| {
+            let mut text = snap.value.as_ref().map_or(Vec::new(), |v| v.to_vec());
+            text.extend_from_slice(tag.as_bytes());
+            Some((Put::value(Bytes::from(text)), suggested))
+        }
+    };
+    let results = f.sim.block_on(async move {
+        let mut results = Vec::new();
+        let mut log = |what: &str, result: String| {
+            results.push(format!("{} {what}: {result}", sim.now()));
+        };
+        let settle = || sim.sleep(SimDuration::from_secs(30));
+
+        let w = table.write_quorum(a, "k", Put::value(b("v1")), WriteStamp::new(1));
+        log("write", format!("{:?}", w.await));
+        log("read", format!("{:?}", table.read_quorum(a, "k").await));
+        settle().await;
+        // The CL=ONE target is the one thing the links choose differently
+        // (nearest replica vs the key's primary); read from the primary's
+        // own site, where the two coincide.
+        let near_primary = clients[table.placement().replicas_of("k")[0]];
+        let r = table.read_one(near_primary, "k");
+        log("read one", format!("{:?}", r.await));
+
+        // Two coordinators race three rounds of LWTs on one key.
+        for round in 0..3 {
+            let racers: Vec<_> = [(a, "a"), (c, "c")]
+                .into_iter()
+                .map(|(coord, tag)| {
+                    let table = table.clone();
+                    sim.spawn(async move { table.lwt(coord, "race", append(tag)).await })
+                })
+                .collect();
+            for racer in racers {
+                log(&format!("race {round}"), format!("{:?}", racer.await));
+            }
+        }
+
+        // `a` crashes after its accept reached every replica but before any
+        // remote reply returns: its proposal stays in progress, and `c`'s
+        // next LWT on the key must complete it first.
+        let (sim2, net2) = (sim.clone(), net.clone());
+        let orphaned = table.lwt(a, "orphan", move |_, suggested| {
+            let (sim, net) = (sim2.clone(), net2.clone());
+            sim2.spawn(async move {
+                sim.sleep(SimDuration::from_millis(45)).await;
+                net.set_node_up(a, false);
+            });
+            Some((Put::value(b("from-a")), suggested))
+        });
+        log("orphaned lwt", format!("{:?}", orphaned.await));
+        net.set_node_up(a, true);
+        let completing = table.lwt(c, "orphan", append("+c"));
+        log("completing lwt", format!("{:?}", completing.await));
+
+        // A write misses replica 2 for good (retransmissions run out while
+        // it is down); a later quorum read that includes it repairs it.
+        net.set_node_up(s2, false);
+        let w = table.write_quorum(a, "stale", Put::value(b("fresh")), WriteStamp::new(7));
+        log("write past a dead replica", format!("{:?}", w.await));
+        settle().await;
+        net.set_node_up(s2, true);
+        net.set_node_up(s0, false);
+        log(
+            "repairing read",
+            format!("{:?}", table.read_quorum(c, "stale").await),
+        );
+        net.set_node_up(s0, true);
+
+        // Two of three replicas are cut off until the operation times out;
+        // the write still reaches them once the links heal.
+        net.set_link(a, s1, false);
+        net.set_link(a, s2, false);
+        let w = table.write_quorum(a, "cut", Put::value(b("late")), WriteStamp::new(3));
+        log("write across a cut", format!("{:?}", w.await));
+        net.set_link(a, s1, true);
+        net.set_link(a, s2, true);
+        settle().await;
+        results
     });
-    let sequential = SimDuration::from_millis(16 * 50);
-    assert!(
-        elapsed < sequential / 3,
-        "windowed writes took {elapsed}, not far below {sequential}"
-    );
-    // Last-stamp-wins: the final value is the highest-stamped write.
-    let snap = f.sim.block_on({
-        let table = f.table.clone();
-        let client = f.clients[0];
-        async move { table.read_quorum(client, "k").await.unwrap() }
+    let replicas = ["k", "race", "orphan", "stale", "cut"]
+        .iter()
+        .flat_map(|key| (0..3).map(move |idx| (key, idx)))
+        .map(|(key, idx)| format!("{key}@{idx}: {:?}", f.peek_replica(idx, key)))
+        .collect();
+    let metrics = recorder.metrics();
+    let counters = [
+        "quorum_reads",
+        "quorum_writes",
+        "lwt_retries",
+        "read_repairs",
+    ]
+    .map(|n| metrics.total(n));
+    let events = [a, c].map(|coord| {
+        let store_level = |kind: &EventKind| {
+            use EventKind::*;
+            matches!(
+                kind,
+                QuorumRead { .. }
+                    | QuorumWrite { .. }
+                    | ReadRepair { .. }
+                    | Lwt { .. }
+                    | LwtRetry { .. }
+                    | LwtResult { .. }
+            )
+        };
+        let of_coord = recorder.events().into_iter().filter(|e| e.node == coord.0);
+        of_coord
+            .map(|e| e.kind)
+            .filter(store_level)
+            .collect::<Vec<_>>()
     });
-    assert_eq!(snap.value, Some(Bytes::from("v15".to_string())));
+    History {
+        results,
+        replicas,
+        counters,
+        events,
+    }
 }
 
 #[test]
-fn windowed_multi_put_reports_the_first_error_after_draining() {
-    let f = fixture(LatencyProfile::one_us());
-    let (table, client, net) = (f.table.clone(), f.clients[0], f.net.clone());
-    // Two replicas down: no quorum anywhere.
-    net.set_node_up(f.store_nodes[1], false);
-    net.set_node_up(f.store_nodes[2], false);
-    f.sim.block_on(async move {
-        let items = vec![
-            ("k".to_string(), Put::value(b("a")), WriteStamp::new(1)),
-            ("k".to_string(), Put::value(b("b")), WriteStamp::new(2)),
-        ];
-        let err = table.write_quorum_many(client, items, 4).await.unwrap_err();
-        assert_eq!(err, StoreError::Unavailable);
+fn links_behave_identically() {
+    let on_sim = scripted_history(sim_fixture(quiet(), Recorder::tracing()));
+    let on_wire = scripted_history(wire_fixture(quiet(), Recorder::tracing()));
+    assert_eq!(on_sim, on_wire);
+
+    // The script did reach the paths it is meant to compare.
+    let [_, _, lwt_retries, read_repairs] = on_sim.counters;
+    assert!(lwt_retries > 0, "the racing LWTs never collided");
+    assert_eq!(read_repairs, 1);
+    let saw = |what: &str| on_sim.results.iter().any(|line| line.contains(what));
+    assert!(saw("orphaned lwt: Err(Unavailable)"));
+    assert!(saw("write across a cut: Err(Unavailable)"));
+    let completed = on_sim.events[1].iter().any(|kind| {
+        matches!(
+            kind,
+            EventKind::Lwt {
+                phase: LwtPhase::MustComplete,
+                ..
+            }
+        )
     });
+    assert!(completed, "no in-progress proposal was found and completed");
+    assert!(on_sim.replicas.iter().all(|line| !line.contains("None")));
 }

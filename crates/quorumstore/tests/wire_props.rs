@@ -3,9 +3,10 @@
 //! (truncations, trailing bytes) are rejected instead of misdecoded.
 
 use bytes::Bytes;
-use music_paxos::Ballot;
-use music_quorumstore::remote::{WireAcceptReply, WirePrepareReply};
-use music_quorumstore::{DataRow, Partition, Put, RowSnapshot, StoreReq, WriteStamp};
+use music_paxos::{AcceptReply, Ballot, PrepareReply};
+use music_quorumstore::{
+    DataRow, Partition, Proposal, Put, RowSnapshot, StoreReq, StoreResp, WriteStamp,
+};
 use music_runtime::Wire;
 use proptest::prelude::*;
 
@@ -62,6 +63,46 @@ fn arb_req() -> impl Strategy<Value = StoreReq<DataRow>> {
     ]
 }
 
+fn arb_row() -> impl Strategy<Value = (String, DataRow)> {
+    (KEY, arb_value(), 1u64..=u64::MAX).prop_map(|(key, value, s)| {
+        let mut row = DataRow::default();
+        row.apply(&Put { value }, WriteStamp::new(s));
+        (key, row)
+    })
+}
+
+fn arb_resp() -> impl Strategy<Value = StoreResp<DataRow>> {
+    let in_progress = (arb_ballot(), arb_put(), 0u64..=u64::MAX).prop_map(|(b, mutation, s)| {
+        let stamp = WriteStamp::new(s);
+        (b, Proposal { mutation, stamp })
+    });
+    prop_oneof![
+        arb_snapshot().prop_map(StoreResp::Snapshot),
+        (0u8..1).prop_map(|_| StoreResp::Ack),
+        (
+            proptest::bool::weighted(0.5),
+            arb_ballot(),
+            proptest::bool::weighted(0.5),
+            in_progress
+        )
+            .prop_map(|(promised, current_promise, some, in_progress)| {
+                StoreResp::Promise(PrepareReply {
+                    promised,
+                    current_promise,
+                    in_progress: some.then_some(in_progress),
+                })
+            }),
+        (proptest::bool::weighted(0.5), arb_ballot()).prop_map(|(accepted, current_promise)| {
+            StoreResp::Accepted(AcceptReply {
+                accepted,
+                current_promise,
+            })
+        }),
+        proptest::collection::vec(KEY, 0..4).prop_map(StoreResp::Keys),
+        proptest::collection::vec(arb_row(), 0..4).prop_map(StoreResp::Rows),
+    ]
+}
+
 proptest! {
     /// `WriteStamp` survives the wire exactly — the LWW ordering domain
     /// must not be perturbed by transport.
@@ -110,30 +151,14 @@ proptest! {
         prop_assert_eq!(back.to_vec(), buf);
     }
 
-    /// Paxos replies round-trip, in-progress proposal and all.
+    /// Every reply variant — snapshots, the bare ack, Paxos replies with
+    /// their in-progress proposal, key lists and scanned rows — re-encodes
+    /// to the same bytes after a decode.
     #[test]
-    fn paxos_replies_roundtrip(
-        promised in proptest::bool::weighted(0.5),
-        current in arb_ballot(),
-        with_in_progress in proptest::bool::weighted(0.5),
-        in_progress in (arb_ballot(), arb_put(), 0u64..=u64::MAX),
-        accepted in proptest::bool::weighted(0.5),
-    ) {
-        let reply = WirePrepareReply::<DataRow> {
-            promised,
-            current_promise: current,
-            in_progress: with_in_progress
-                .then(|| (in_progress.0, in_progress.1.clone(), WriteStamp::new(in_progress.2))),
-        };
-        let buf = reply.to_vec();
-        let back = WirePrepareReply::<DataRow>::from_slice(&buf).unwrap();
+    fn store_replies_roundtrip(resp in arb_resp()) {
+        let buf = resp.to_vec();
+        let back = StoreResp::<DataRow>::from_slice(&buf).unwrap();
         prop_assert_eq!(back.to_vec(), buf);
-
-        let ack = WireAcceptReply { accepted, current_promise: current };
-        let buf = ack.to_vec();
-        let back = WireAcceptReply::from_slice(&buf).unwrap();
-        prop_assert_eq!(back.accepted, ack.accepted);
-        prop_assert_eq!(back.current_promise, ack.current_promise);
     }
 
     /// No prefix of a valid encoding decodes, and no valid encoding with
@@ -152,5 +177,25 @@ proptest! {
         let mut long = buf;
         long.push(junk);
         prop_assert!(StoreReq::<DataRow>::from_slice(&long).is_err(), "trailing byte accepted");
+    }
+
+    /// The same for replies. The empty slice is the zero-length prefix of
+    /// every encoding (no reply, the ack included, encodes to nothing), so
+    /// a replica that answers an undecodable frame with an empty response
+    /// is never mistaken for one that acknowledged.
+    #[test]
+    fn corrupt_reply_framings_are_rejected(resp in arb_resp(), junk in 0u8..=255) {
+        let buf = resp.to_vec();
+        prop_assert!(!buf.is_empty());
+        for cut in 0..buf.len() {
+            prop_assert!(
+                StoreResp::<DataRow>::from_slice(&buf[..cut]).is_err(),
+                "prefix of length {} decoded",
+                cut
+            );
+        }
+        let mut long = buf;
+        long.push(junk);
+        prop_assert!(StoreResp::<DataRow>::from_slice(&long).is_err(), "trailing byte accepted");
     }
 }
