@@ -6,7 +6,10 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 
-use music::{AcquireOutcome, MusicReplica, MusicSystem, OpKind, OpStats, PendingPut};
+use music::{
+    AcquireOutcome, MusicReplica, MusicSystem, OpKind, OpStats, PendingPut, PutIssued, PutReq,
+};
+use music_quorumstore::Put;
 use music_simnet::metrics::Histogram;
 use music_simnet::time::{SimDuration, SimTime};
 use music_simnet::topology::LatencyProfile;
@@ -71,15 +74,16 @@ async fn issue_pipelined(
     value: Bytes,
 ) -> Option<PendingPut> {
     loop {
-        match replica
-            .critical_put_async(key, lock_ref, value.clone())
-            .await
-        {
-            Ok(pp) => return Some(pp),
+        let req = PutReq {
+            pipelined: true,
+            ..PutReq::new(Put::value(value.clone()))
+        };
+        match replica.critical_put_req(key, lock_ref, req).await {
+            Ok(PutIssued::Pending(pp)) => return Some(pp),
             Err(music::CriticalError::NotYetHolder) => {
                 sim.sleep(SimDuration::from_millis(1)).await;
             }
-            Err(_) => return None,
+            _ => return None,
         }
     }
 }

@@ -26,4 +26,4 @@ pub mod partition;
 pub mod store;
 
 pub use partition::{LockEntry, LockMutation, LockPartition, LockRef};
-pub use store::{BatchOutcome, EnqueueOutcome, LockStore};
+pub use store::{EnqueueOutcome, EnqueueReq, LeaseRule, LockStore};

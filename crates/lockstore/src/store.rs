@@ -7,35 +7,54 @@ use music_simnet::time::SimTime;
 
 use crate::partition::{LockEntry, LockMutation, LockPartition, LockRef};
 
-/// Result of a lease-aware enqueue ([`LockStore::generate_and_enqueue_guarded`]).
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum EnqueueOutcome {
-    /// A fresh reference was minted and enqueued (possibly breaking an
-    /// authorized lease in the same LWT).
-    Minted(LockRef),
-    /// The queue head is an *unclaimed lease* the caller was not authorized
-    /// to break: nothing was enqueued. The caller must force
-    /// resynchronization (write the synch flag) and retry with this
-    /// reference as the authorized break target.
-    LeaseBlocked(LockRef),
+/// What an enqueue does when the queue head is an *unclaimed lease*. A
+/// *claimed* lease (start time set) is an active holder and is always
+/// queued behind.
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
+pub enum LeaseRule {
+    /// Queue behind the lease like behind any live holder (safe — the
+    /// lease acts as a normal queue head until it expires or is claimed).
+    /// The paper's lease-oblivious `lsGenerateAndEnqueue`.
+    #[default]
+    QueueBehind,
+    /// Enqueue nothing and report [`EnqueueOutcome::LeaseBlocked`], so the
+    /// caller can force resynchronization (write the synch flag) first.
+    Decline,
+    /// Collect the leased row and enqueue in the same LWT — but only if
+    /// the leased head is this reference, which proves the caller already
+    /// forced resynchronization for it; any other lease declines.
+    Break(LockRef),
 }
 
-/// Result of a combined (batched) enqueue
-/// ([`LockStore::generate_and_enqueue_batch_guarded`]).
+/// One `lsGenerateAndEnqueue` request ([`LockStore::enqueue`]).
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
+pub struct EnqueueReq {
+    /// `None` for a single enqueue (committed as
+    /// [`LockMutation::Enqueue`] / [`LockMutation::BreakEnqueue`]);
+    /// `Some(n)` for one combining round minting `n` consecutive
+    /// references for `n` same-key waiters (committed as
+    /// [`LockMutation::EnqueueBatch`]).
+    pub batch: Option<u32>,
+    /// What to do about an unclaimed leased head.
+    pub lease: LeaseRule,
+}
+
+/// Result of [`LockStore::enqueue`].
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum BatchOutcome {
+pub enum EnqueueOutcome {
     /// `count` consecutive references `first .. first + count` were minted
-    /// and enqueued in one LWT round (possibly collecting an authorized
-    /// lease in the same round). Waiter `i` of the round owns `first + i`.
+    /// and enqueued in one LWT (possibly collecting an authorized lease in
+    /// the same round). Waiter `i` of a combining round owns `first + i`.
     Minted {
-        /// The round's first (lowest) minted reference.
+        /// The first (lowest) minted reference.
         first: LockRef,
-        /// How many references were minted.
+        /// How many references were minted (1 for a single enqueue).
         count: u32,
     },
-    /// The queue head is an *unclaimed lease* the caller was not authorized
-    /// to break: nothing was enqueued (same contract as
-    /// [`EnqueueOutcome::LeaseBlocked`]).
+    /// The queue head is an unclaimed lease the request declined to
+    /// break: nothing was enqueued. The caller must force
+    /// resynchronization and retry with [`LeaseRule::Break`] on this
+    /// reference.
     LeaseBlocked(LockRef),
 }
 
@@ -111,7 +130,8 @@ impl<Tbl: TableApi<LockPartition>> LockStore<Tbl> {
     /// `lsGenerateAndEnqueue`: atomically mints the next per-key lock
     /// reference and enqueues it, in **one** LWT (the batch trick of §VI:
     /// increment the `guard` and insert the row in the same consensus
-    /// write).
+    /// write). Lease-oblivious: [`LockStore::enqueue`] with the default
+    /// request.
     ///
     /// Cost: one LWT = 4 WAN round trips.
     ///
@@ -127,51 +147,45 @@ impl<Tbl: TableApi<LockPartition>> LockStore<Tbl> {
         coord: NodeId,
         key: &str,
     ) -> Result<LockRef, StoreError> {
-        match self.enqueue_inner(coord, key, None, false).await? {
-            EnqueueOutcome::Minted(r) => Ok(r),
-            // Lease-oblivious enqueues never block: they queue up behind a
-            // leased head like behind any other holder (safe — the lease
-            // acts as a normal queue head until it expires or is claimed).
+        match self.enqueue(coord, key, EnqueueReq::default()).await? {
+            EnqueueOutcome::Minted { first, .. } => Ok(first),
             EnqueueOutcome::LeaseBlocked(_) => unreachable!("lease-oblivious enqueue blocked"),
         }
     }
 
-    /// Lease-aware `lsGenerateAndEnqueue`: like
-    /// [`LockStore::generate_and_enqueue`], but when the queue head is an
-    /// *unclaimed lease* the enqueue either **breaks** it (collects the
-    /// leased row and enqueues the fresh reference in the same LWT — only
-    /// when the caller passes that reference as `break_authorized`, proving
-    /// it already forced resynchronization) or **declines** and reports
-    /// [`EnqueueOutcome::LeaseBlocked`] so the caller can write the synch
-    /// flag first. A *claimed* lease (start time set) is an active holder
-    /// and is queued behind normally.
+    /// The one enqueue: mints one reference, or `n` consecutive ones for
+    /// a combining round (under a flash crowd, `n` waiters pay one
+    /// consensus write instead of `n`), and applies `req.lease` to an
+    /// unclaimed leased head. References are assigned in arrival order,
+    /// ascending, so a combined round preserves exactly the FIFO order a
+    /// sequence of single enqueues would have produced — and the trace
+    /// carries one `lockEnqueue` per minted reference either way.
     ///
-    /// Cost: one LWT = 4 WAN round trips (plus the caller's flag write on
-    /// the blocked path).
+    /// Cost: one LWT = 4 WAN round trips, whatever the batch size (plus
+    /// the caller's flag write on the blocked path).
     ///
     /// # Errors
     ///
     /// Propagates [`StoreError`] exactly like
     /// [`LockStore::generate_and_enqueue`].
-    pub async fn generate_and_enqueue_guarded(
+    ///
+    /// # Panics
+    ///
+    /// Panics if `req.batch == Some(0)`.
+    pub async fn enqueue(
         &self,
         coord: NodeId,
         key: &str,
-        break_authorized: Option<LockRef>,
+        req: EnqueueReq,
     ) -> Result<EnqueueOutcome, StoreError> {
-        self.enqueue_inner(coord, key, break_authorized, true).await
-    }
-
-    async fn enqueue_inner(
-        &self,
-        coord: NodeId,
-        key: &str,
-        break_authorized: Option<LockRef>,
-        lease_aware: bool,
-    ) -> Result<EnqueueOutcome, StoreError> {
-        // Unique per invocation (coordinator id in the high bits).
+        let count = req.batch.unwrap_or(1);
+        assert!(count > 0, "batch enqueue needs at least one waiter");
+        // Unique per invocation (coordinator id in the high bits), and
+        // consecutive per waiter, so waiter i of a retried (already
+        // committed) round adopts its own row via `find_token(token + i)`.
         let token = (u64::from(coord.0) << 40) | self.next_token.get();
-        self.next_token.set(self.next_token.get() + 1);
+        self.next_token
+            .set(self.next_token.get() + u64::from(count));
         let minted = std::cell::Cell::new(LockRef::NONE);
         let blocked = std::cell::Cell::new(LockRef::NONE);
         let broke = std::cell::Cell::new(LockRef::NONE);
@@ -187,207 +201,82 @@ impl<Tbl: TableApi<LockPartition>> LockStore<Tbl> {
                     minted.set(existing);
                     return None;
                 }
-                if lease_aware {
-                    if let Some((leased, _until)) = snap.lease_head() {
-                        if break_authorized != Some(leased) {
-                            minted.set(LockRef::NONE);
-                            blocked.set(leased);
-                            return None;
-                        }
-                        let next = LockRef::new(snap.guard() + 1);
-                        minted.set(next);
-                        broke.set(leased);
-                        return Some((
-                            LockMutation::BreakEnqueue {
-                                broken: leased,
-                                lock_ref: next,
-                                token,
-                            },
-                            suggested,
-                        ));
-                    }
-                }
-                let next = LockRef::new(snap.guard() + 1);
-                minted.set(next);
-                Some((
-                    LockMutation::Enqueue {
-                        lock_ref: next,
-                        token,
-                        lease_until: None,
-                    },
-                    suggested,
-                ))
-            })
-            .await?;
-        if blocked.get() != LockRef::NONE {
-            return Ok(EnqueueOutcome::LeaseBlocked(blocked.get()));
-        }
-        let rec = self.table.recorder();
-        if rec.is_on() {
-            if broke.get() != LockRef::NONE {
-                rec.count(music_telemetry::Scope::Node(coord.0), "lease_breaks", 1);
-            }
-            if rec.is_tracing() {
-                let rt = self.table.rt();
-                if broke.get() != LockRef::NONE {
-                    rec.record(
-                        rt.now().as_micros(),
-                        rt.trace(),
-                        coord.0,
-                        music_telemetry::EventKind::LeaseBreak {
-                            key: key.to_string(),
-                            lock_ref: broke.get().value(),
-                        },
-                    );
-                }
-                rec.record(
-                    rt.now().as_micros(),
-                    rt.trace(),
-                    coord.0,
-                    music_telemetry::EventKind::LockEnqueue {
-                        key: key.to_string(),
-                        lock_ref: minted.get().value(),
-                    },
-                );
-            }
-        }
-        Ok(EnqueueOutcome::Minted(minted.get()))
-    }
-
-    /// Combined `lsGenerateAndEnqueue`: mints `count` consecutive
-    /// references for `count` same-key waiters in **one** LWT round (the
-    /// enqueue-combining optimization — under a flash crowd, `count`
-    /// waiters pay one consensus write instead of `count`). References are
-    /// assigned to waiters in arrival order, ascending, so the combined
-    /// round preserves exactly the FIFO order a sequence of single
-    /// enqueues would have produced.
-    ///
-    /// Lease-aware with the same contract as
-    /// [`LockStore::generate_and_enqueue_guarded`]: an unclaimed leased
-    /// head either blocks the round ([`BatchOutcome::LeaseBlocked`]) or,
-    /// when `break_authorized` names it, is collected by the same LWT.
-    /// When `lease_aware` is false the batch queues behind a leased head
-    /// like behind any live holder (the bounded-break fallback).
-    ///
-    /// Cost: one LWT = 4 WAN round trips for the whole batch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StoreError`] exactly like
-    /// [`LockStore::generate_and_enqueue`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count == 0`.
-    pub async fn generate_and_enqueue_batch_guarded(
-        &self,
-        coord: NodeId,
-        key: &str,
-        count: u32,
-        break_authorized: Option<LockRef>,
-        lease_aware: bool,
-    ) -> Result<BatchOutcome, StoreError> {
-        assert!(count > 0, "batch enqueue needs at least one waiter");
-        // Consecutive tokens so waiter i of a retried (already committed)
-        // round adopts its own row via `find_token(token + i)`.
-        let token = (u64::from(coord.0) << 40) | self.next_token.get();
-        self.next_token
-            .set(self.next_token.get() + u64::from(count));
-        let minted = std::cell::Cell::new(LockRef::NONE);
-        let blocked = std::cell::Cell::new(LockRef::NONE);
-        let broke = std::cell::Cell::new(LockRef::NONE);
-        self.table
-            .lwt(coord, key, |snap, suggested| {
-                blocked.set(LockRef::NONE);
-                broke.set(LockRef::NONE);
-                if let Some(existing) = snap.find_token(token) {
-                    // An earlier ballot of this very round already
-                    // committed the whole batch: adopt it.
-                    minted.set(existing);
-                    return None;
-                }
-                let mut broken = LockRef::NONE;
                 if let Some((leased, _until)) = snap.lease_head() {
-                    if lease_aware {
-                        if break_authorized != Some(leased) {
+                    match req.lease {
+                        LeaseRule::QueueBehind => {}
+                        LeaseRule::Break(authorized) if authorized == leased => broke.set(leased),
+                        LeaseRule::Decline | LeaseRule::Break(_) => {
                             minted.set(LockRef::NONE);
                             blocked.set(leased);
                             return None;
                         }
-                        broken = leased;
-                        broke.set(leased);
                     }
                 }
-                let first = LockRef::new(snap.guard() + 1);
+                let (first, broken) = (LockRef::new(snap.guard() + 1), broke.get());
                 minted.set(first);
-                Some((
-                    LockMutation::EnqueueBatch {
+                let mutation = match req.batch {
+                    Some(count) => LockMutation::EnqueueBatch {
                         broken,
                         first,
                         count,
                         token,
                     },
-                    suggested,
-                ))
+                    None if broken != LockRef::NONE => LockMutation::BreakEnqueue {
+                        broken,
+                        lock_ref: first,
+                        token,
+                    },
+                    None => LockMutation::Enqueue {
+                        lock_ref: first,
+                        token,
+                        lease_until: None,
+                    },
+                };
+                Some((mutation, suggested))
             })
             .await?;
         if blocked.get() != LockRef::NONE {
-            return Ok(BatchOutcome::LeaseBlocked(blocked.get()));
+            return Ok(EnqueueOutcome::LeaseBlocked(blocked.get()));
         }
         let first = minted.get();
         let rec = self.table.recorder();
         if rec.is_on() {
+            let node = music_telemetry::Scope::Node(coord.0);
             if broke.get() != LockRef::NONE {
-                rec.count(music_telemetry::Scope::Node(coord.0), "lease_breaks", 1);
+                rec.count(node, "lease_breaks", 1);
             }
             if count > 1 {
-                rec.count(music_telemetry::Scope::Node(coord.0), "enqueue_combines", 1);
-                rec.count(
-                    music_telemetry::Scope::Node(coord.0),
-                    "combined_refs",
-                    u64::from(count),
-                );
+                rec.count(node, "enqueue_combines", 1);
+                rec.count(node, "combined_refs", u64::from(count));
             }
             if rec.is_tracing() {
                 let rt = self.table.rt();
+                let record = |kind| rec.record(rt.now().as_micros(), rt.trace(), coord.0, kind);
                 if broke.get() != LockRef::NONE {
-                    rec.record(
-                        rt.now().as_micros(),
-                        rt.trace(),
-                        coord.0,
-                        music_telemetry::EventKind::LeaseBreak {
-                            key: key.to_string(),
-                            lock_ref: broke.get().value(),
-                        },
-                    );
+                    record(music_telemetry::EventKind::LeaseBreak {
+                        key: key.to_string(),
+                        lock_ref: broke.get().value(),
+                    });
                 }
-                rec.record(
-                    rt.now().as_micros(),
-                    rt.trace(),
-                    coord.0,
-                    music_telemetry::EventKind::EnqueueCombine {
+                if req.batch.is_some() {
+                    record(music_telemetry::EventKind::EnqueueCombine {
                         key: key.to_string(),
                         first: first.value(),
                         count,
-                    },
-                );
+                    });
+                }
                 // One `lockEnqueue` per minted reference, in ascending
                 // (queue) order — the stream the refinement checker sees is
                 // indistinguishable from `count` well-ordered singles.
                 for i in 0..u64::from(count) {
-                    rec.record(
-                        rt.now().as_micros(),
-                        rt.trace(),
-                        coord.0,
-                        music_telemetry::EventKind::LockEnqueue {
-                            key: key.to_string(),
-                            lock_ref: first.value() + i,
-                        },
-                    );
+                    record(music_telemetry::EventKind::LockEnqueue {
+                        key: key.to_string(),
+                        lock_ref: first.value() + i,
+                    });
                 }
             }
         }
-        Ok(BatchOutcome::Minted { first, count })
+        Ok(EnqueueOutcome::Minted { first, count })
     }
 
     /// Current queue depth at the **closest** replica: a cheap, possibly

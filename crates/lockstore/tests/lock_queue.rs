@@ -1,7 +1,7 @@
 //! Lock-store behaviour over the simulated WAN: uniqueness and fairness of
 //! lock references, peek staleness, and operation costs.
 
-use music_lockstore::{LockRef, LockStore};
+use music_lockstore::{EnqueueOutcome, EnqueueReq, LeaseRule, LockRef, LockStore};
 use music_quorumstore::TableConfig;
 use music_simnet::prelude::*;
 
@@ -242,18 +242,60 @@ fn interleaved_enqueue_dequeue_from_three_sites_stays_monotone() {
 }
 
 #[test]
+fn one_enqueue_request_mints_singles_and_combined_rounds() {
+    let f = fixture();
+    let (locks, me) = (f.locks.clone(), f.coords[0]);
+    f.sim.block_on(async move {
+        let single = EnqueueReq::default();
+        assert_eq!(
+            locks.enqueue(me, "k", single).await.unwrap(),
+            EnqueueOutcome::Minted {
+                first: LockRef::new(1),
+                count: 1
+            }
+        );
+        // A combining round mints consecutive references in one LWT,
+        // exactly where a run of single enqueues would have put them.
+        let round = EnqueueReq {
+            batch: Some(3),
+            ..EnqueueReq::default()
+        };
+        assert_eq!(
+            locks.enqueue(me, "k", round).await.unwrap(),
+            EnqueueOutcome::Minted {
+                first: LockRef::new(2),
+                count: 3
+            }
+        );
+        let r5 = locks.generate_and_enqueue(me, "k").await.unwrap();
+        assert_eq!(r5, LockRef::new(5));
+        for r in (1..=5).map(LockRef::new) {
+            let (head, _) = locks.peek_quorum(me, "k").await.unwrap().unwrap();
+            assert_eq!(head, r, "FIFO across singles and the round");
+            locks.dequeue(me, "k", r).await.unwrap();
+        }
+    });
+}
+
+#[test]
 fn lease_rows_keep_the_queue_monotone_under_contention() {
-    use music_lockstore::EnqueueOutcome;
+    // The same lease protocol for a single enqueue and a combining round.
+    for (key, batch) in [("hot", None), ("hot-round", Some(2))] {
+        lease_protocol(key, batch);
+    }
+}
+
+fn lease_protocol(key: &'static str, batch: Option<u32>) {
     let f = fixture();
     let (locks, sim) = (f.locks.clone(), f.sim.clone());
     let coords = f.coords.clone();
     f.sim.block_on(async move {
         // The owner runs a clean section and retains a lease: the release
         // LWT tombstones its ref and pre-mints the successor as the head.
-        let r1 = locks.generate_and_enqueue(coords[0], "hot").await.unwrap();
+        let r1 = locks.generate_and_enqueue(coords[0], key).await.unwrap();
         let until = sim.now() + SimDuration::from_secs(60);
         let (leased, granted_until) = locks
-            .release_with_lease(coords[0], "hot", r1, until)
+            .release_with_lease(coords[0], key, r1, until)
             .await
             .unwrap()
             .expect("nothing queued: lease retained");
@@ -262,11 +304,11 @@ fn lease_rows_keep_the_queue_monotone_under_contention() {
 
         // Lease-oblivious enqueues from the other sites queue up *behind*
         // the standing lease; references stay strictly increasing.
-        let r3 = locks.generate_and_enqueue(coords[1], "hot").await.unwrap();
-        let r4 = locks.generate_and_enqueue(coords[2], "hot").await.unwrap();
+        let r3 = locks.generate_and_enqueue(coords[1], key).await.unwrap();
+        let r4 = locks.generate_and_enqueue(coords[2], key).await.unwrap();
         assert!(leased < r3 && r3 < r4, "minted behind the leased head");
         let (head, entry) = locks
-            .peek_quorum(coords[1], "hot")
+            .peek_quorum(coords[1], key)
             .await
             .unwrap()
             .expect("head");
@@ -274,43 +316,51 @@ fn lease_rows_keep_the_queue_monotone_under_contention() {
         assert!(entry.lease_until.is_some());
 
         // A lease-aware enqueue must decline while the lease stands
-        // unclaimed (the caller still has to force resynchronization)...
-        match locks
-            .generate_and_enqueue_guarded(coords[1], "hot", None)
-            .await
-            .unwrap()
-        {
-            EnqueueOutcome::LeaseBlocked(b) => assert_eq!(b, leased),
-            EnqueueOutcome::Minted(r) => panic!("enqueued {r} over a standing lease"),
+        // unclaimed (the caller still has to force resynchronization),
+        // and so must a break authorized for some other reference...
+        let stranger = LockRef::new(leased.value() + 100);
+        for lease in [LeaseRule::Decline, LeaseRule::Break(stranger)] {
+            match locks
+                .enqueue(coords[1], key, EnqueueReq { batch, lease })
+                .await
+                .unwrap()
+            {
+                EnqueueOutcome::LeaseBlocked(b) => assert_eq!(b, leased),
+                minted => panic!("{minted:?} over a standing lease"),
+            }
         }
         // ...and break it atomically once authorized: the leased row goes,
-        // the breaker's fresh reference lands in the same LWT.
-        let broke = match locks
-            .generate_and_enqueue_guarded(coords[1], "hot", Some(leased))
-            .await
-            .unwrap()
-        {
-            EnqueueOutcome::Minted(r) => r,
+        // the breaker's fresh references land in the same LWT.
+        let authorized = EnqueueReq {
+            batch,
+            lease: LeaseRule::Break(leased),
+        };
+        let broke = match locks.enqueue(coords[1], key, authorized).await.unwrap() {
+            EnqueueOutcome::Minted { first, count } => {
+                assert_eq!(count, batch.unwrap_or(1));
+                first
+            }
             EnqueueOutcome::LeaseBlocked(b) => panic!("authorized break declined on {b}"),
         };
         assert!(broke > r4, "the breaker queues at the tail");
 
         // The queue drains in FIFO order with the lease row gone.
+        let minted = (0..u64::from(batch.unwrap_or(1))).map(|i| LockRef::new(broke.value() + i));
         let mut seen = Vec::new();
-        for expect in [r3, r4, broke] {
+        for expect in [r3, r4].into_iter().chain(minted) {
             let (head, entry) = locks
-                .peek_quorum(coords[2], "hot")
+                .peek_quorum(coords[2], key)
                 .await
                 .unwrap()
                 .expect("head");
             assert_eq!(head, expect);
             assert!(entry.lease_until.is_none(), "no lease row after the break");
             seen.push(head);
-            locks.dequeue(coords[2], "hot", head).await.unwrap();
+            locks.dequeue(coords[2], key, head).await.unwrap();
         }
         assert!(seen.windows(2).all(|w| w[0] < w[1]), "heads monotone");
         assert!(
-            locks.peek_quorum(coords[0], "hot").await.unwrap().is_none(),
+            locks.peek_quorum(coords[0], key).await.unwrap().is_none(),
             "queue drained"
         );
     });

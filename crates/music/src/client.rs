@@ -32,7 +32,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 
 use music_lockstore::{LockPartition, LockRef};
-use music_quorumstore::{DataRow, ReplicatedTable, StoreError, TableApi};
+use music_quorumstore::{DataRow, Put, ReplicatedTable, StoreError, TableApi};
 use music_runtime::Runtime;
 use music_simnet::executor::Sim;
 use music_simnet::time::{SimDuration, SimTime};
@@ -43,7 +43,7 @@ use crate::config::WriteMode;
 use crate::contention::ContentionController;
 use crate::error::{AcquireOutcome, AttemptTrail, CriticalError, MusicError};
 use crate::health::ReplicaHealth;
-use crate::replica::{LeaseGrant, MusicReplica, PendingPut};
+use crate::replica::{LeaseGrant, MusicReplica, PendingPut, PutIssued, PutReq, PutStamp};
 use crate::stats::OpKind;
 
 /// A MUSIC client bound to an ordered list of replicas (closest first).
@@ -108,40 +108,6 @@ impl<RT, D, L> fmt::Debug for MusicClient<RT, D, L> {
             .field("lease_window", &self.lease_window)
             .finish_non_exhaustive()
     }
-}
-
-/// The client's session stamp floor for `key` under `lock_ref`, or zero
-/// if no put of this section has been stamped yet (a stale entry from an
-/// earlier lock reference does not constrain the new section — the higher
-/// reference already dominates in the v2s scalar).
-fn session_floor(
-    floors: &RefCell<HashMap<String, (u64, u64)>>,
-    key: &str,
-    lock_ref: LockRef,
-) -> SimDuration {
-    match floors.borrow().get(key) {
-        Some(&(r, e)) if r == lock_ref.value() => SimDuration::from_micros(e),
-        _ => SimDuration::ZERO,
-    }
-}
-
-/// Advances the session stamp floor with the elapsed a replica stamped a
-/// put with (recorded at *issue* time — later puts of the section must
-/// stamp above even unacknowledged earlier ones).
-fn note_stamp(
-    floors: &RefCell<HashMap<String, (u64, u64)>>,
-    key: &str,
-    lock_ref: LockRef,
-    elapsed: SimDuration,
-) {
-    let mut floors = floors.borrow_mut();
-    let entry = floors
-        .entry(key.to_string())
-        .or_insert((lock_ref.value(), 0));
-    if entry.0 != lock_ref.value() {
-        *entry = (lock_ref.value(), 0);
-    }
-    entry.1 = entry.1.max(elapsed.as_micros());
 }
 
 impl<RT, D, L> MusicClient<RT, D, L>
@@ -667,17 +633,50 @@ where
         lock_ref: LockRef,
         value: impl Into<Bytes>,
     ) -> Result<(), MusicError> {
-        let key = key.as_ref();
-        let value = value.into();
+        let req = PutReq::new(Put::value(value.into()));
+        self.put_req(key.as_ref(), lock_ref, req).await.map(|_| ())
+    }
+
+    /// One `criticalPut` request with retry/fail-over. A fresh stamp is
+    /// minted above the client's session floor for the key — zero when no
+    /// put of this section was stamped yet (a stale entry from an earlier
+    /// lock reference does not constrain the new section: the higher
+    /// reference already dominates in the v2s scalar) — and the floor
+    /// advances with the elapsed the replica stamped, at *issue* time, so
+    /// later puts of the section stamp above even unacknowledged earlier
+    /// ones. A replay keeps its original stamp and leaves the floor alone.
+    async fn put_req(
+        &self,
+        key: &str,
+        lock_ref: LockRef,
+        req: PutReq,
+    ) -> Result<PutIssued<RT>, MusicError> {
+        let lr = lock_ref.value();
         self.critical_with_retry("criticalPut", |r| {
             let key = key.to_string();
-            let value = value.clone();
+            let mut req = req.clone();
             let floors = self.stamp_floors.clone();
             async move {
-                let floor = session_floor(&floors, &key, lock_ref);
-                let elapsed = r.critical_put_floored(&key, lock_ref, value, floor).await?;
-                note_stamp(&floors, &key, lock_ref, elapsed);
-                Ok(())
+                let fresh = match &mut req.stamp {
+                    PutStamp::Fresh { floor } => {
+                        *floor = match floors.borrow().get(&key) {
+                            Some(&(owner, e)) if owner == lr => SimDuration::from_micros(e),
+                            _ => SimDuration::ZERO,
+                        };
+                        true
+                    }
+                    PutStamp::Replay { .. } => false,
+                };
+                let issued = r.critical_put_req(&key, lock_ref, req).await?;
+                if fresh {
+                    let mut floors = floors.borrow_mut();
+                    let entry = floors.entry(key).or_insert((lr, 0));
+                    if entry.0 != lr {
+                        *entry = (lr, 0);
+                    }
+                    entry.1 = entry.1.max(issued.elapsed().as_micros());
+                }
+                Ok(issued)
             }
         })
         .await
@@ -1273,31 +1272,20 @@ where
             };
             self.settle(oldest).await?;
         }
-        let key = self.key.clone();
-        let lock_ref = self.lock_ref;
-        let floors = self.client.stamp_floors.clone();
-        let pp = self
-            .client
-            .critical_with_retry("criticalPut", move |r| {
-                let key = key.clone();
-                let value = value.clone();
-                let floors = floors.clone();
-                async move {
-                    let floor = session_floor(&floors, &key, lock_ref);
-                    let pp = r
-                        .critical_put_async_floored(&key, lock_ref, value, floor)
-                        .await?;
-                    note_stamp(&floors, &key, lock_ref, pp.elapsed());
-                    Ok(pp)
-                }
-            })
-            .await?;
-        let depth = {
-            let mut pending = self.pending.borrow_mut();
-            pending.push_back(pp);
-            pending.len()
+        let req = PutReq {
+            pipelined: true,
+            ..PutReq::new(Put::value(value))
         };
-        self.client.note_inflight(depth);
+        // An awaited ack would need no window slot; pipelined requests
+        // always come back pending.
+        if let PutIssued::Pending(pp) = self.client.put_req(&self.key, self.lock_ref, req).await? {
+            let depth = {
+                let mut pending = self.pending.borrow_mut();
+                pending.push_back(pp);
+                pending.len()
+            };
+            self.client.note_inflight(depth);
+        }
         Ok(())
     }
 
@@ -1305,24 +1293,14 @@ where
     /// original stamp (program order inside the section must not be
     /// reordered by retries). A terminal failure poisons the section.
     async fn settle(&self, pp: PendingPut<RT>) -> Result<(), MusicError> {
-        let (value, elapsed, res) = pp.outcome().await;
+        let (replay, res) = pp.outcome().await;
         let err = match res {
             Ok(()) => return Ok(()),
             Err(CriticalError::NoLongerHolder) => MusicError::NoLongerHolder,
             Err(CriticalError::Expired) => MusicError::Expired,
             Err(CriticalError::NotYetHolder) | Err(CriticalError::Store(_)) => {
-                let key = self.key.clone();
-                let lock_ref = self.lock_ref;
-                match self
-                    .client
-                    .critical_with_retry("criticalPut", move |r| {
-                        let key = key.clone();
-                        let value = value.clone();
-                        async move { r.critical_put_resume(&key, lock_ref, value, elapsed).await }
-                    })
-                    .await
-                {
-                    Ok(()) => return Ok(()),
+                match self.client.put_req(&self.key, self.lock_ref, replay).await {
+                    Ok(_) => return Ok(()),
                     Err(e) => e,
                 }
             }

@@ -148,44 +148,11 @@ impl Default for MusicConfig {
 
 impl MusicConfig {
     /// Starts a [`MusicConfigBuilder`] seeded with the defaults — the one
-    /// entry point for assembling a config (the accreted one-off
-    /// constructors `mscp`/`pipelined`/`leased` are deprecated shims over
-    /// it since 0.6.0).
+    /// entry point for assembling a config.
     pub fn builder() -> MusicConfigBuilder {
         MusicConfigBuilder {
             cfg: MusicConfig::default(),
         }
-    }
-
-    /// A config with the MSCP baseline's LWT critical puts.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use MusicConfig::builder().put_mode(PutMode::Lwt).build()"
-    )]
-    pub fn mscp() -> Self {
-        Self::builder().put_mode(PutMode::Lwt).build()
-    }
-
-    /// A config whose critical sections pipeline their puts with the given
-    /// in-flight window.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use MusicConfig::builder().write_mode(WriteMode::Pipelined { window }).build()"
-    )]
-    pub fn pipelined(window: usize) -> Self {
-        Self::builder()
-            .write_mode(WriteMode::Pipelined { window })
-            .build()
-    }
-
-    /// A config whose clean releases retain a lease of duration `window`
-    /// (the lease-cached fast re-entry path).
-    #[deprecated(
-        since = "0.6.0",
-        note = "use MusicConfig::builder().lease_window(window).build()"
-    )]
-    pub fn leased(window: SimDuration) -> Self {
-        Self::builder().lease_window(window).build()
     }
 }
 
@@ -383,26 +350,8 @@ mod tests {
         assert!(!WriteMode::Sync.is_pipelined());
     }
 
-    /// The deprecated one-off constructors must stay exact shims over the
-    /// builder until they are removed.
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_builder() {
-        assert_eq!(
-            MusicConfig::mscp().put_mode,
-            MusicConfig::builder()
-                .put_mode(PutMode::Lwt)
-                .build()
-                .put_mode
-        );
-        assert_eq!(
-            MusicConfig::pipelined(8).write_mode,
-            WriteMode::Pipelined { window: 8 }
-        );
-        assert_eq!(
-            MusicConfig::leased(SimDuration::from_secs(5)).lease_window,
-            Some(SimDuration::from_secs(5))
-        );
+    fn no_lease_overrides_an_earlier_lease_window() {
         let chained = MusicConfig::builder()
             .lease_window(SimDuration::from_secs(5))
             .no_lease()

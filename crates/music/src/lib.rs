@@ -95,7 +95,7 @@ pub use nemesis::{
     run_drift_unsafe_demo, run_nemesis, DriftDemo, DriftLane, NemesisOptions, NemesisRun, RunMode,
 };
 pub use repair::RepairDaemon;
-pub use replica::{LeaseGrant, MusicReplica, PendingPut};
+pub use replica::{LeaseGrant, MusicReplica, PendingPut, PutIssued, PutReq, PutStamp};
 pub use stats::{OpKind, OpStats};
 pub use system::{ClockDrift, MusicSystem, MusicSystemBuilder};
 pub use timestamp::{lease_breakable, lease_claimable, V2s, VectorTimestamp};

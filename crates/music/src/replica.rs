@@ -14,14 +14,14 @@
 //! simulator deployment every test runs on; `music-node`/`music-load` run
 //! the same code over `NativeRuntime` + `RemoteTable`.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
 use bytes::Bytes;
 
-use music_lockstore::{BatchOutcome, EnqueueOutcome, LockPartition, LockRef, LockStore};
+use music_lockstore::{EnqueueOutcome, EnqueueReq, LeaseRule, LockPartition, LockRef, LockStore};
 use music_quorumstore::{DataRow, Put, ReplicatedTable, RowSnapshot, StoreError, TableApi};
 use music_runtime::Runtime;
 use music_simnet::executor::Sim;
@@ -74,21 +74,55 @@ struct CombineRound {
     /// Waiters in the round so far, the leader included.
     joiners: u32,
     /// The settlement cell parked waiters poll.
-    slots: Rc<RefCell<CombineSlots>>,
+    settled: Rc<Cell<Settled>>,
 }
 
 /// Outcome of one combining round, filled by the leader.
-#[derive(Default)]
-struct CombineSlots {
-    /// The leader's batch LWT has settled (successfully or not).
-    done: bool,
-    /// The round failed (store nack or persistent lease block); every
-    /// member falls back to the single enqueue path independently.
-    failed: bool,
-    /// First minted reference; waiter `i` owns `first + i`.
-    first: LockRef,
-    /// How many references the round minted.
-    count: u32,
+#[derive(Copy, Clone, Default, PartialEq, Eq)]
+enum Settled {
+    /// The round is forming, or its batch LWT is in flight.
+    #[default]
+    Pending,
+    /// The round minted `count` references; waiter `i` owns `first + i`.
+    Minted { first: LockRef, count: u32 },
+    /// The round failed (store nack, persistent lease block, or a
+    /// cancelled leader); every member falls back to the single enqueue
+    /// path independently.
+    Failed,
+}
+
+/// The leader's ownership of a combining round. Dropped unsettled — the
+/// batch LWT failed, or the leader's future was cancelled mid-gather,
+/// mid-gate-wait or mid-LWT — it closes a still-open round and settles it
+/// as failed, so parked members fall back to the single path instead of
+/// polling a round nobody will ever settle, and later arrivals form a
+/// fresh round.
+struct RoundLead {
+    combiner: Rc<RefCell<HashMap<String, CombineRound>>>,
+    key: String,
+    settled: Rc<Cell<Settled>>,
+    /// Whether the round is still in `combiner`, accepting joiners.
+    open: bool,
+}
+
+impl RoundLead {
+    /// Stops accepting joiners; returns the round's size, leader included.
+    fn close(&mut self) -> u32 {
+        self.open = false;
+        let round = self.combiner.borrow_mut().remove(&self.key);
+        round.expect("leader owns the forming round").joiners
+    }
+}
+
+impl Drop for RoundLead {
+    fn drop(&mut self) {
+        if self.open {
+            self.combiner.borrow_mut().remove(&self.key);
+        }
+        if self.settled.get() == Settled::Pending {
+            self.settled.set(Settled::Failed);
+        }
+    }
 }
 
 /// A MUSIC replica bound to a node identity.
@@ -426,64 +460,7 @@ where
     ///
     /// Panics if `key` contains the reserved internal separator `'\u{1}'`.
     pub async fn create_lock_ref(&self, key: &str) -> Result<LockRef, StoreError> {
-        Self::assert_client_key(key);
-        let span = self.span_start("createLockRef", key);
-        let t0 = self.now();
-        let r = self.create_lock_ref_inner(key).await;
-        if r.is_ok() {
-            self.stats.record(OpKind::CreateLockRef, self.now() - t0);
-        }
-        self.span_end(span, "createLockRef", key, r.is_ok());
-        r
-    }
-
-    async fn create_lock_ref_inner(&self, key: &str) -> Result<LockRef, StoreError> {
-        // Mark (never wait on) the gate: combining-round leaders chain
-        // behind this enqueue's LWT instead of racing its ballots.
-        let _gate = GateGuard::mark(&self.lock_lwt_gate, key);
-        let mut authorized: Option<LockRef> = None;
-        // Bounded break attempts: back-to-back lease grants by a hot
-        // leaseholder could otherwise starve this enqueue. The fallback
-        // below is always safe — it queues behind the lease exactly like
-        // behind any live holder.
-        for _ in 0..4 {
-            match self
-                .locks
-                .generate_and_enqueue_guarded(self.node, key, authorized)
-                .await?
-            {
-                EnqueueOutcome::Minted(r) => return Ok(r),
-                EnqueueOutcome::LeaseBlocked(leased) => {
-                    // Force resynchronization *before* breaking the lease:
-                    // the leaseholder may have re-entered invisibly (the
-                    // claim is a CL.ONE start-time write the break LWT's
-                    // quorum read can miss) with puts already in flight —
-                    // exactly the mid-put preemption of §IV-B, so the break
-                    // must leave the synchFlag set for the next holder.
-                    // Stamped like a forcedRelease of the leased reference:
-                    // above any reset it could have issued, below the next
-                    // holder's.
-                    let stamp = self.v2s.forced_release_stamp(leased, self.cfg.delta);
-                    self.data
-                        .write_quorum(self.node, &synch_key(key), Put::value(FLAG_TRUE), stamp)
-                        .await?;
-                    // The break deposes the leased reference exactly like a
-                    // forcedRelease does, and is recorded the same way:
-                    // after the covering flag is durable, before the
-                    // collecting LWT commits, so a successor's grant sorts
-                    // after it in the trace. If the break then loses to a
-                    // concurrent claim, the event is spuriously early — the
-                    // checker treats the claimed section's acts as stale
-                    // (the safe direction) rather than missing a deposal.
-                    self.emit(|| EventKind::LockForcedRelease {
-                        key: key.to_string(),
-                        lock_ref: leased.value(),
-                    });
-                    authorized = Some(leased);
-                }
-            }
-        }
-        self.locks.generate_and_enqueue(self.node, key).await
+        self.create_lock_ref_via(key, false).await
     }
 
     /// `createLockRef` through the **enqueue combiner** (the Hot-mode path
@@ -499,9 +476,10 @@ where
     /// `acquire_poll` gather window for co-arriving waiters, closes the
     /// round, and runs the batch LWT (with the same bounded lease-break
     /// loop as the single path). Parked waiters poll the round's
-    /// settlement cell and receive `first + index`. Any round failure
-    /// degrades every member to the plain single-enqueue path — combining
-    /// is an optimization, never a correctness dependency.
+    /// settlement cell and receive `first + index`. Any round failure —
+    /// including the leader being cancelled — degrades every member to the
+    /// plain single-enqueue path: combining is an optimization, never a
+    /// correctness dependency.
     ///
     /// # Errors
     ///
@@ -512,10 +490,19 @@ where
     ///
     /// Panics if `key` contains the reserved internal separator `'\u{1}'`.
     pub async fn create_lock_ref_combined(&self, key: &str) -> Result<LockRef, StoreError> {
+        self.create_lock_ref_via(key, true).await
+    }
+
+    /// The span/stats wrapper both `createLockRef` flavours share.
+    async fn create_lock_ref_via(&self, key: &str, combine: bool) -> Result<LockRef, StoreError> {
         Self::assert_client_key(key);
         let span = self.span_start("createLockRef", key);
         let t0 = self.now();
-        let r = self.create_lock_ref_combined_inner(key).await;
+        let r = if combine {
+            self.enqueue_combined(key).await
+        } else {
+            self.enqueue_single(key).await
+        };
         if r.is_ok() {
             self.stats.record(OpKind::CreateLockRef, self.now() - t0);
         }
@@ -523,139 +510,152 @@ where
         r
     }
 
-    async fn create_lock_ref_combined_inner(&self, key: &str) -> Result<LockRef, StoreError> {
-        let (is_leader, index, slots) = {
+    async fn enqueue_single(&self, key: &str) -> Result<LockRef, StoreError> {
+        // Mark (never wait on) the gate: combining-round leaders chain
+        // behind this enqueue's LWT instead of racing its ballots.
+        let _gate = GateGuard::mark(&self.lock_lwt_gate, key);
+        match self.enqueue_breaking_leases(key, None).await? {
+            EnqueueOutcome::Minted { first, .. } => Ok(first),
+            // Always safe: it queues behind the lease exactly like behind
+            // any live holder.
+            EnqueueOutcome::LeaseBlocked(_) => {
+                self.locks.generate_and_enqueue(self.node, key).await
+            }
+        }
+    }
+
+    /// The lease-aware enqueue with bounded break attempts (back-to-back
+    /// lease grants by a hot leaseholder could otherwise starve it): up to
+    /// 4 tries, each blocked one followed by the covering `synchFlag`
+    /// write (§IV-B) and an authorized break of the blocking lease. Gives
+    /// up with the last blocking lease so the caller can fall back.
+    async fn enqueue_breaking_leases(
+        &self,
+        key: &str,
+        batch: Option<u32>,
+    ) -> Result<EnqueueOutcome, StoreError> {
+        let mut req = EnqueueReq {
+            batch,
+            lease: LeaseRule::Decline,
+        };
+        let mut last_blocked = LockRef::NONE;
+        for _ in 0..4 {
+            let leased = match self.locks.enqueue(self.node, key, req).await? {
+                EnqueueOutcome::LeaseBlocked(leased) => leased,
+                minted => return Ok(minted),
+            };
+            // Force resynchronization *before* breaking the lease: the
+            // leaseholder may have re-entered invisibly (the claim is a
+            // CL.ONE start-time write the break LWT's quorum read can
+            // miss) with puts already in flight — exactly the mid-put
+            // preemption of §IV-B, so the break must leave the synchFlag
+            // set for the next holder. Stamped like a forcedRelease of the
+            // leased reference: above any reset it could have issued,
+            // below the next holder's.
+            let stamp = self.v2s.forced_release_stamp(leased, self.cfg.delta);
+            self.data
+                .write_quorum(self.node, &synch_key(key), Put::value(FLAG_TRUE), stamp)
+                .await?;
+            // The break deposes the leased reference exactly like a
+            // forcedRelease does, and is recorded the same way: after the
+            // covering flag is durable, before the collecting LWT commits,
+            // so a successor's grant sorts after it in the trace. If the
+            // break then loses to a concurrent claim, the event is
+            // spuriously early — the checker treats the claimed section's
+            // acts as stale (the safe direction) rather than missing a
+            // deposal.
+            self.emit(|| EventKind::LockForcedRelease {
+                key: key.to_string(),
+                lock_ref: leased.value(),
+            });
+            req.lease = LeaseRule::Break(leased);
+            last_blocked = leased;
+        }
+        Ok(EnqueueOutcome::LeaseBlocked(last_blocked))
+    }
+
+    async fn enqueue_combined(&self, key: &str) -> Result<LockRef, StoreError> {
+        let (lead, index, settled) = {
             let mut rounds = self.combiner.borrow_mut();
             match rounds.get_mut(key) {
                 Some(round) => {
                     round.joiners += 1;
-                    (false, round.joiners - 1, round.slots.clone())
+                    (None, round.joiners - 1, round.settled.clone())
                 }
                 None => {
-                    let slots = Rc::new(RefCell::new(CombineSlots::default()));
+                    let settled = Rc::new(Cell::new(Settled::Pending));
                     rounds.insert(
                         key.to_string(),
                         CombineRound {
                             joiners: 1,
-                            slots: slots.clone(),
+                            settled: settled.clone(),
                         },
                     );
-                    (true, 0, slots)
+                    let lead = RoundLead {
+                        combiner: self.combiner.clone(),
+                        key: key.to_string(),
+                        settled: settled.clone(),
+                        open: true,
+                    };
+                    (Some(lead), 0, settled)
                 }
             }
         };
-        if is_leader {
-            // Gather window: a few poll intervals for co-arriving waiters
-            // to join, scaled by the local queue depth — when the queue is
-            // already `d` deep, a joiner's section is at least `d`
-            // handoffs away, so holding the round open a little longer
-            // costs nothing and batches the trickle of re-enqueues into
-            // fewer LWT rounds. Skipped when a same-key lock LWT is
-            // already in flight: the wait on the gate below *is* the
-            // gather window then.
-            if !self.lock_lwt_in_flight(key) {
-                let polls = match self.locks.queue_depth_local(self.node, key).await {
-                    Ok(d) if d > 1 => d.min(8) as u64,
-                    _ => 1,
-                };
-                self.rt
-                    .sleep(SimDuration::from_micros(
-                        self.cfg.acquire_poll.as_micros().saturating_mul(polls),
-                    ))
-                    .await;
-            }
-            // Chain on the gate: launching a ballot against an in-flight
-            // release or sibling round would only preempt it (the 5ms-base
-            // exponential ballot backoff is exactly what a flash crowd
-            // dies of). The round stays open while we wait, so later
-            // arrivals still join it.
-            while self.lock_lwt_in_flight(key) {
-                self.rt.sleep(self.cfg.acquire_poll).await;
-            }
-            // Close the round *before* the LWT: arrivals during the round
-            // form the next one (its leader chains on the gate behind this
-            // round's LWT).
-            let count = {
-                let mut rounds = self.combiner.borrow_mut();
-                let round = rounds.remove(key).expect("leader owns the forming round");
-                round.joiners
-            };
-            let _gate = GateGuard::mark(&self.lock_lwt_gate, key);
-            let res = self.enqueue_batch_with_breaks(key, count).await;
-            match res {
-                Ok(BatchOutcome::Minted { first, count: n }) => {
-                    let mut s = slots.borrow_mut();
-                    s.done = true;
-                    s.first = first;
-                    s.count = n;
-                    Ok(first)
-                }
-                Ok(BatchOutcome::LeaseBlocked(_)) | Err(_) => {
-                    {
-                        let mut s = slots.borrow_mut();
-                        s.done = true;
-                        s.failed = true;
-                    }
-                    // Leader degrades to the single path; the parked
-                    // waiters observe `failed` and do the same.
-                    self.create_lock_ref_inner(key).await
-                }
-            }
-        } else {
+        let Some(mut lead) = lead else {
             loop {
-                {
-                    let s = slots.borrow();
-                    if s.done {
-                        if !s.failed && index < s.count {
-                            return Ok(LockRef::new(s.first.value() + u64::from(index)));
-                        }
-                        break;
+                match settled.get() {
+                    Settled::Pending => self.rt.sleep(self.cfg.acquire_poll).await,
+                    Settled::Minted { first, count } if index < count => {
+                        return Ok(LockRef::new(first.value() + u64::from(index)))
                     }
-                }
-                self.rt.sleep(self.cfg.acquire_poll).await;
-            }
-            self.create_lock_ref_inner(key).await
-        }
-    }
-
-    /// The combined twin of `create_lock_ref_inner`'s bounded-break loop:
-    /// up to 4 authorized lease breaks (each preceded by the covering
-    /// `synchFlag` write, §IV-B), then gives up with the blocking lease so
-    /// the round can degrade to single enqueues.
-    async fn enqueue_batch_with_breaks(
-        &self,
-        key: &str,
-        count: u32,
-    ) -> Result<BatchOutcome, StoreError> {
-        let mut authorized: Option<LockRef> = None;
-        let mut last_blocked = LockRef::NONE;
-        for _ in 0..4 {
-            match self
-                .locks
-                .generate_and_enqueue_batch_guarded(self.node, key, count, authorized, true)
-                .await?
-            {
-                BatchOutcome::Minted { first, count } => {
-                    return Ok(BatchOutcome::Minted { first, count })
-                }
-                BatchOutcome::LeaseBlocked(leased) => {
-                    // Same break protocol as the single path: resynchronize
-                    // *before* deposing the leaseholder, stamped like a
-                    // forcedRelease of the leased reference.
-                    let stamp = self.v2s.forced_release_stamp(leased, self.cfg.delta);
-                    self.data
-                        .write_quorum(self.node, &synch_key(key), Put::value(FLAG_TRUE), stamp)
-                        .await?;
-                    self.emit(|| EventKind::LockForcedRelease {
-                        key: key.to_string(),
-                        lock_ref: leased.value(),
-                    });
-                    authorized = Some(leased);
-                    last_blocked = leased;
+                    _ => return self.enqueue_single(key).await,
                 }
             }
+        };
+        // Gather window: a few poll intervals for co-arriving waiters to
+        // join, scaled by the local queue depth — when the queue is
+        // already `d` deep, a joiner's section is at least `d` handoffs
+        // away, so holding the round open a little longer costs nothing
+        // and batches the trickle of re-enqueues into fewer LWT rounds.
+        // Skipped when a same-key lock LWT is already in flight: the wait
+        // on the gate below *is* the gather window then.
+        if !self.lock_lwt_in_flight(key) {
+            let polls = match self.locks.queue_depth_local(self.node, key).await {
+                Ok(d) if d > 1 => d.min(8) as u64,
+                _ => 1,
+            };
+            self.rt
+                .sleep(SimDuration::from_micros(
+                    self.cfg.acquire_poll.as_micros().saturating_mul(polls),
+                ))
+                .await;
         }
-        Ok(BatchOutcome::LeaseBlocked(last_blocked))
+        // Chain on the gate: launching a ballot against an in-flight
+        // release or sibling round would only preempt it (the 5ms-base
+        // exponential ballot backoff is exactly what a flash crowd dies
+        // of). The round stays open while we wait, so later arrivals
+        // still join it.
+        while self.lock_lwt_in_flight(key) {
+            self.rt.sleep(self.cfg.acquire_poll).await;
+        }
+        // Close the round *before* the LWT: arrivals during the round form
+        // the next one (its leader chains on the gate behind this round's
+        // LWT).
+        let count = lead.close();
+        let _gate = GateGuard::mark(&self.lock_lwt_gate, key);
+        match self.enqueue_breaking_leases(key, Some(count)).await {
+            Ok(EnqueueOutcome::Minted { first, count }) => {
+                settled.set(Settled::Minted { first, count });
+                Ok(first)
+            }
+            Ok(EnqueueOutcome::LeaseBlocked(_)) | Err(_) => {
+                // Settles the round as failed: the leader degrades to the
+                // single path, and the parked waiters observe
+                // `Settled::Failed` and do the same.
+                drop(lead);
+                self.enqueue_single(key).await
+            }
+        }
     }
 
     /// Lease fast re-entry: claims the pre-minted leased reference with
@@ -953,67 +953,45 @@ where
         lock_ref: LockRef,
         value: Bytes,
     ) -> Result<(), CriticalError> {
-        self.critical_put_with(key, lock_ref, Put::value(value), self.cfg.put_mode)
+        self.critical_put_req(key, lock_ref, PutReq::new(Put::value(value)))
             .await
+            .map(|_| ())
     }
 
-    /// `criticalPut`'s delete twin (footnote 3 of the paper).
+    /// `criticalPut` as a [`PutReq`]: a value or a delete, a fresh stamp
+    /// above a session floor or a replayed one, awaited or pipelined. The
+    /// one body every put runs:
+    ///
+    /// 1. the holder guard (re-run for a replay, so a preempted or expired
+    ///    holder is rejected);
+    /// 2. the stamp `v2s(lock_ref, elapsed)` — fresh (monotonized above
+    ///    this replica's and the request's floors) or the replayed
+    ///    `elapsed`;
+    /// 3. `critPutStart`, for fresh valued writes only (a replay's original
+    ///    `critPutStart` is still the outstanding logical write; deletes
+    ///    have no digest — the checker tracks valued writes only);
+    /// 4. the write: awaited (a quorum write, or an LWT under
+    ///    [`PutMode::Lwt`]), or a detached quorum write returned as
+    ///    [`PutIssued::Pending`] — pipelined writes and replays are always
+    ///    quorum writes, since the pipelined window is defined over the
+    ///    quorum store's commutative last-write-wins semantics, which LWTs
+    ///    do not have;
+    /// 5. on the ack, stats and `critPutAck`.
     ///
     /// # Errors
     ///
-    /// Same as [`MusicReplica::critical_put`].
-    pub async fn critical_delete(&self, key: &str, lock_ref: LockRef) -> Result<(), CriticalError> {
-        self.critical_put_with(key, lock_ref, Put::delete(), self.cfg.put_mode)
-            .await
-    }
-
-    /// `criticalPut` with an explicit [`PutMode`] (benchmarks compare the
-    /// two).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MusicReplica::critical_put`].
-    pub async fn critical_put_with(
+    /// Same as [`MusicReplica::critical_put`]. For a pipelined request
+    /// these cover the *issue* step only; store errors of the write itself
+    /// surface when the pending put is awaited.
+    pub async fn critical_put_req(
         &self,
         key: &str,
         lock_ref: LockRef,
-        put: Put,
-        mode: PutMode,
-    ) -> Result<(), CriticalError> {
+        req: PutReq,
+    ) -> Result<PutIssued<RT>, CriticalError> {
         Self::assert_client_key(key);
         let span = self.span_start("criticalPut", key);
-        let r = self
-            .critical_put_inner(key, lock_ref, put, mode, SimDuration::ZERO)
-            .await
-            .map(|_| ());
-        self.span_end(span, "criticalPut", key, r.is_ok());
-        r
-    }
-
-    /// [`MusicReplica::critical_put`] with an external stamp floor and the
-    /// stamped elapsed returned. The floor is the client's *session* floor:
-    /// after a mid-section fail-over, successive puts of one section run on
-    /// different replicas whose drifted clocks can disagree by up to 2ε, so
-    /// each replica's own `elapsed = now − start_time` is not monotone
-    /// across the hand-off. The client threads the last stamped elapsed
-    /// through so the new replica stamps strictly above it, keeping
-    /// last-write-wins aligned with issue order.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MusicReplica::critical_put`].
-    pub async fn critical_put_floored(
-        &self,
-        key: &str,
-        lock_ref: LockRef,
-        value: Bytes,
-        floor: SimDuration,
-    ) -> Result<SimDuration, CriticalError> {
-        Self::assert_client_key(key);
-        let span = self.span_start("criticalPut", key);
-        let r = self
-            .critical_put_inner(key, lock_ref, Put::value(value), self.cfg.put_mode, floor)
-            .await;
+        let r = self.critical_put_inner(key, lock_ref, req).await;
         self.span_end(span, "criticalPut", key, r.is_ok());
         r
     }
@@ -1051,35 +1029,72 @@ where
         &self,
         key: &str,
         lock_ref: LockRef,
-        put: Put,
-        mode: PutMode,
-        floor: SimDuration,
-    ) -> Result<SimDuration, CriticalError> {
+        req: PutReq,
+    ) -> Result<PutIssued<RT>, CriticalError> {
         let t0 = self.now();
         let elapsed = self.critical_guard(key, lock_ref).await?;
-        let elapsed = self.stamped_elapsed(key, lock_ref, elapsed, floor);
+        let elapsed = match req.stamp {
+            PutStamp::Fresh { floor } => self.stamped_elapsed(key, lock_ref, elapsed, floor),
+            PutStamp::Replay { elapsed } => elapsed,
+        };
         let stamp = self.v2s.scalar(VectorTimestamp::new(lock_ref, elapsed));
-        // Deletes have no digest; the checker tracks valued writes only.
-        let digest = put.value.as_deref().map(music_telemetry::digest);
-        if let Some(d) = digest {
+        let digest = req.put.value.as_deref().map(music_telemetry::digest);
+        if let (PutStamp::Fresh { .. }, Some(d)) = (req.stamp, digest) {
             self.emit(|| EventKind::CritPutStart {
                 key: key.to_string(),
                 lock_ref: lock_ref.value(),
                 digest: d,
             });
         }
-        match mode {
-            PutMode::Quorum => {
-                self.data.write_quorum(self.node, key, put, stamp).await?;
-                self.stats.record(OpKind::CriticalPut, self.now() - t0);
-            }
-            PutMode::Lwt => {
-                self.data
-                    .lwt(self.node, key, |_, _| Some((put.clone(), stamp)))
-                    .await?;
-                self.stats.record(OpKind::MscpPut, self.now() - t0);
-            }
+        if req.pipelined {
+            // The write runs detached (inheriting this span's trace tag),
+            // so the caller can keep issuing puts while it is in flight.
+            let me = self.clone();
+            let key = key.to_string();
+            let write = self
+                .data
+                .write_quorum_spawned(self.node, &key, req.put.clone(), stamp);
+            let handle = self.rt.spawn(async move {
+                let r = write.await;
+                if r.is_ok() {
+                    me.put_acked(&key, lock_ref, OpKind::CriticalPut, t0, digest);
+                }
+                r.map_err(CriticalError::from)
+            });
+            return Ok(PutIssued::Pending(PendingPut {
+                put: req.put,
+                elapsed,
+                handle,
+            }));
         }
+        let kind = match (self.cfg.put_mode, req.stamp) {
+            (PutMode::Lwt, PutStamp::Fresh { .. }) => {
+                self.data
+                    .lwt(self.node, key, |_, _| Some((req.put.clone(), stamp)))
+                    .await?;
+                OpKind::MscpPut
+            }
+            _ => {
+                self.data
+                    .write_quorum(self.node, key, req.put, stamp)
+                    .await?;
+                OpKind::CriticalPut
+            }
+        };
+        self.put_acked(key, lock_ref, kind, t0, digest);
+        Ok(PutIssued::Acked(elapsed))
+    }
+
+    /// A put's quorum ack: latency, the `crit_puts` counter, `critPutAck`.
+    fn put_acked(
+        &self,
+        key: &str,
+        lock_ref: LockRef,
+        kind: OpKind,
+        t0: SimTime,
+        digest: Option<u64>,
+    ) {
+        self.stats.record(kind, self.now() - t0);
         self.count("crit_puts", 1);
         if let Some(d) = digest {
             self.emit(|| EventKind::CritPutAck {
@@ -1088,145 +1103,6 @@ where
                 digest: d,
             });
         }
-        Ok(elapsed)
-    }
-
-    /// Pipelined `criticalPut`: runs the holder guard and stamps the write
-    /// like [`MusicReplica::critical_put`], but returns as soon as the
-    /// quorum write is *issued*. The returned [`PendingPut`] resolves when
-    /// a quorum acknowledges (emitting `critPutAck` at that instant).
-    ///
-    /// Always a quorum write — the pipelined window is defined over the
-    /// quorum store's commutative last-write-wins semantics, which LWTs do
-    /// not have.
-    ///
-    /// # Errors
-    ///
-    /// See [`CriticalError`] for the *issue* step (guard / local peek).
-    /// Store errors of the write itself surface when the pending put is
-    /// awaited; such a write is unacknowledged and may still land.
-    pub async fn critical_put_async(
-        &self,
-        key: &str,
-        lock_ref: LockRef,
-        value: Bytes,
-    ) -> Result<PendingPut<RT>, CriticalError> {
-        self.critical_put_async_floored(key, lock_ref, value, SimDuration::ZERO)
-            .await
-    }
-
-    /// [`MusicReplica::critical_put_async`] with an external stamp floor —
-    /// see [`MusicReplica::critical_put_floored`] for why fail-over across
-    /// skewed replica clocks needs one. The stamped elapsed is available on
-    /// the returned [`PendingPut::elapsed`] *at issue time*, so the client
-    /// can advance its session floor before the ack lands.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MusicReplica::critical_put_async`].
-    pub async fn critical_put_async_floored(
-        &self,
-        key: &str,
-        lock_ref: LockRef,
-        value: Bytes,
-        floor: SimDuration,
-    ) -> Result<PendingPut<RT>, CriticalError> {
-        Self::assert_client_key(key);
-        let span = self.span_start("criticalPut", key);
-        let t0 = self.now();
-        let elapsed = match self.critical_guard(key, lock_ref).await {
-            Ok(e) => e,
-            Err(e) => {
-                self.span_end(span, "criticalPut", key, false);
-                return Err(e);
-            }
-        };
-        let elapsed = self.stamped_elapsed(key, lock_ref, elapsed, floor);
-        let stamp = self.v2s.scalar(VectorTimestamp::new(lock_ref, elapsed));
-        let digest = music_telemetry::digest(&value);
-        self.emit(|| EventKind::CritPutStart {
-            key: key.to_string(),
-            lock_ref: lock_ref.value(),
-            digest,
-        });
-        // The write itself runs detached (inheriting this span's trace
-        // tag), so the caller can keep issuing puts while it is in flight.
-        let me = self.clone();
-        let key_owned = key.to_string();
-        let write =
-            self.data
-                .write_quorum_spawned(self.node, key, Put::value(value.clone()), stamp);
-        let handle = self.rt.spawn(async move {
-            let r = write.await;
-            if r.is_ok() {
-                me.stats.record(OpKind::CriticalPut, me.now() - t0);
-                me.count("crit_puts", 1);
-                me.emit(|| EventKind::CritPutAck {
-                    key: key_owned.clone(),
-                    lock_ref: lock_ref.value(),
-                    digest,
-                });
-            }
-            r.map_err(CriticalError::from)
-        });
-        self.span_end(span, "criticalPut", key, true);
-        Ok(PendingPut {
-            value,
-            elapsed,
-            handle,
-        })
-    }
-
-    /// Re-drives a pipelined put whose quorum write failed, replaying the
-    /// **original** stamp (`v2s(lock_ref, elapsed)`): a retry must not mint
-    /// a fresh (higher) stamp, or a retried early write could clobber a
-    /// later write of the same section under last-write-wins. Emits only
-    /// `critPutAck` on success — the original `critPutStart` is still the
-    /// outstanding logical write.
-    ///
-    /// # Errors
-    ///
-    /// See [`CriticalError`]; the guard re-runs against current state, so a
-    /// preempted or expired holder is rejected here.
-    pub async fn critical_put_resume(
-        &self,
-        key: &str,
-        lock_ref: LockRef,
-        value: Bytes,
-        elapsed: SimDuration,
-    ) -> Result<(), CriticalError> {
-        Self::assert_client_key(key);
-        let span = self.span_start("criticalPut", key);
-        let t0 = self.now();
-        let r = self
-            .critical_put_resume_inner(key, lock_ref, value, elapsed, t0)
-            .await;
-        self.span_end(span, "criticalPut", key, r.is_ok());
-        r
-    }
-
-    async fn critical_put_resume_inner(
-        &self,
-        key: &str,
-        lock_ref: LockRef,
-        value: Bytes,
-        elapsed: SimDuration,
-        t0: SimTime,
-    ) -> Result<(), CriticalError> {
-        self.critical_guard(key, lock_ref).await?;
-        let stamp = self.v2s.scalar(VectorTimestamp::new(lock_ref, elapsed));
-        let digest = music_telemetry::digest(&value);
-        self.data
-            .write_quorum(self.node, key, Put::value(value), stamp)
-            .await?;
-        self.stats.record(OpKind::CriticalPut, self.now() - t0);
-        self.count("crit_puts", 1);
-        self.emit(|| EventKind::CritPutAck {
-            key: key.to_string(),
-            lock_ref: lock_ref.value(),
-            digest,
-        });
-        Ok(())
     }
 
     /// Marks `key`'s `synchFlag` on behalf of a holder whose flush failed:
@@ -1310,39 +1186,7 @@ where
     ///
     /// Nacks with [`StoreError`] when the lock store cannot reach a quorum.
     pub async fn release_lock(&self, key: &str, lock_ref: LockRef) -> Result<(), StoreError> {
-        Self::assert_client_key(key);
-        let span = self.span_start("releaseLock", key);
-        let r = self.release_lock_inner(key, lock_ref).await;
-        self.span_end(span, "releaseLock", key, r.is_ok());
-        r
-    }
-
-    async fn release_lock_inner(&self, key: &str, lock_ref: LockRef) -> Result<(), StoreError> {
-        // Mark the gate so combining-round leaders chain behind this
-        // release instead of preempting its ballots; marking is pure
-        // bookkeeping (no await), so the path is unchanged when no
-        // combiner runs.
-        let _gate = GateGuard::mark(&self.lock_lwt_gate, key);
-        let t0 = self.now();
-        if let Some((head, _)) = self.peek(key).await? {
-            if lock_ref < head {
-                return Ok(()); // lock was forcibly released already
-            }
-        }
-        // Emit at abdication, *before* the dequeue commits: a successor's
-        // local peek can observe the dequeue (and record its grant) before
-        // this coordinator's LWT round returns, so emitting afterwards
-        // would order the grant ahead of the release in the trace. From
-        // here the holder never acts again, so this is the release point
-        // as far as exclusivity is concerned; if the LWT nacks, the retry
-        // re-emits and the checker treats the duplicate as a no-op.
-        self.emit(|| EventKind::LockRelease {
-            key: key.to_string(),
-            lock_ref: lock_ref.value(),
-        });
-        self.locks.dequeue(self.node, key, lock_ref).await?;
-        self.stats.record(OpKind::ReleaseLock, self.now() - t0);
-        Ok(())
+        self.release(key, lock_ref, None).await.map(|_| ())
     }
 
     /// `releaseLock` with lease retention: like
@@ -1367,20 +1211,32 @@ where
         lock_ref: LockRef,
         window: SimDuration,
     ) -> Result<Option<LeaseGrant>, StoreError> {
+        self.release(key, lock_ref, Some(window)).await
+    }
+
+    async fn release(
+        &self,
+        key: &str,
+        lock_ref: LockRef,
+        lease: Option<SimDuration>,
+    ) -> Result<Option<LeaseGrant>, StoreError> {
         Self::assert_client_key(key);
         let span = self.span_start("releaseLock", key);
-        let r = self.release_lock_leased_inner(key, lock_ref, window).await;
+        let r = self.release_inner(key, lock_ref, lease).await;
         self.span_end(span, "releaseLock", key, r.is_ok());
         r
     }
 
-    async fn release_lock_leased_inner(
+    async fn release_inner(
         &self,
         key: &str,
         lock_ref: LockRef,
-        window: SimDuration,
+        lease: Option<SimDuration>,
     ) -> Result<Option<LeaseGrant>, StoreError> {
-        // Same gate marking as `release_lock_inner`: releases go first.
+        // Mark the gate so combining-round leaders chain behind this
+        // release instead of preempting its ballots; marking is pure
+        // bookkeeping (no await), so the path is unchanged when no
+        // combiner runs.
         let _gate = GateGuard::mark(&self.lock_lwt_gate, key);
         let t0 = self.now();
         if let Some((head, _)) = self.peek(key).await? {
@@ -1388,20 +1244,31 @@ where
                 return Ok(None); // lock was forcibly released already
             }
         }
-        let until = self.now() + window;
-        // Emitted before the LWT for the same reason as in
-        // `release_lock_inner`: a waiter enqueued behind us may observe
-        // the dequeue and grant itself before our round returns.
+        let until = lease.map(|window| self.now() + window);
+        // Emit at abdication, *before* the dequeue commits: a successor's
+        // local peek can observe the dequeue (and record its grant) before
+        // this coordinator's LWT round returns, so emitting afterwards
+        // would order the grant ahead of the release in the trace. From
+        // here the holder never acts again, so this is the release point
+        // as far as exclusivity is concerned; if the LWT nacks, the retry
+        // re-emits and the checker treats the duplicate as a no-op.
         self.emit(|| EventKind::LockRelease {
             key: key.to_string(),
             lock_ref: lock_ref.value(),
         });
-        let granted = self
-            .locks
-            .release_with_lease(self.node, key, lock_ref, until)
-            .await?;
+        let granted = match until {
+            None => {
+                self.locks.dequeue(self.node, key, lock_ref).await?;
+                None
+            }
+            Some(until) => self
+                .locks
+                .release_with_lease(self.node, key, lock_ref, until)
+                .await?
+                .map(|(r, until)| LeaseGrant { lock_ref: r, until }),
+        };
         self.stats.record(OpKind::ReleaseLock, self.now() - t0);
-        Ok(granted.map(|(r, until)| LeaseGrant { lock_ref: r, until }))
+        Ok(granted)
     }
 
     /// `forcedRelease`: preempts `lock_ref` on behalf of a presumed-failed
@@ -1519,13 +1386,85 @@ where
     }
 }
 
+/// How a `criticalPut` request stamps its write (see [`PutReq`]).
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum PutStamp {
+    /// Mint a fresh stamp, strictly above this replica's per-key floor and
+    /// above `floor` — the client's *session* floor: after a mid-section
+    /// fail-over, successive puts of one section run on different
+    /// replicas whose drifted clocks can disagree by up to 2ε, so each
+    /// replica's own `elapsed = now − start_time` is not monotone across
+    /// the hand-off. Threading the last stamped elapsed through keeps
+    /// last-write-wins aligned with issue order.
+    Fresh {
+        /// The session floor (`ZERO` for none).
+        floor: SimDuration,
+    },
+    /// Re-drive a write whose quorum write failed with its **original**
+    /// stamp `v2s(lock_ref, elapsed)`: a retry must not mint a fresh
+    /// (higher) stamp, or a retried early write could clobber a later
+    /// write of the same section under last-write-wins.
+    Replay {
+        /// The elapsed the original write was stamped with.
+        elapsed: SimDuration,
+    },
+}
+
+/// One `criticalPut` request for [`MusicReplica::critical_put_req`].
+#[derive(Clone, Debug)]
+pub struct PutReq {
+    /// The write: a value, or a delete (footnote 3 of the paper).
+    pub put: Put,
+    /// How the write is stamped.
+    pub stamp: PutStamp,
+    /// Return as soon as the quorum write is *issued*, as a
+    /// [`PutIssued::Pending`], instead of awaiting its ack.
+    pub pipelined: bool,
+}
+
+impl PutReq {
+    /// An awaited write of `put` under a fresh stamp with no session
+    /// floor — the paper's `criticalPut`.
+    pub fn new(put: Put) -> Self {
+        PutReq {
+            put,
+            stamp: PutStamp::Fresh {
+                floor: SimDuration::ZERO,
+            },
+            pipelined: false,
+        }
+    }
+}
+
+/// What [`MusicReplica::critical_put_req`] returns.
+#[derive(Debug)]
+pub enum PutIssued<RT: Runtime = Sim> {
+    /// The write was awaited and is quorum-acknowledged; it was stamped
+    /// with this elapsed-in-section time.
+    Acked(SimDuration),
+    /// The write was issued pipelined and is still in flight.
+    Pending(PendingPut<RT>),
+}
+
+impl<RT: Runtime> PutIssued<RT> {
+    /// Elapsed-in-section time the write was stamped with, known at issue
+    /// time — so a client can advance its session floor before the ack.
+    pub fn elapsed(&self) -> SimDuration {
+        match self {
+            PutIssued::Acked(elapsed) => *elapsed,
+            PutIssued::Pending(pp) => pp.elapsed,
+        }
+    }
+}
+
 /// A pipelined `criticalPut` that has been issued but not yet quorum
-/// acknowledged (see [`MusicReplica::critical_put_async`]).
+/// acknowledged; it resolves when a quorum acknowledges (emitting
+/// `critPutAck` at that instant).
 ///
 /// Dropping a pending put does **not** cancel the write — it keeps
 /// propagating, exactly like a crashed holder's in-flight put.
 pub struct PendingPut<RT: Runtime = Sim> {
-    value: Bytes,
+    put: Put,
     elapsed: SimDuration,
     handle: RT::JoinHandle<Result<(), CriticalError>>,
 }
@@ -1533,24 +1472,13 @@ pub struct PendingPut<RT: Runtime = Sim> {
 impl<RT: Runtime> fmt::Debug for PendingPut<RT> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PendingPut")
-            .field("value", &self.value)
+            .field("put", &self.put)
             .field("elapsed", &self.elapsed)
             .finish_non_exhaustive()
     }
 }
 
 impl<RT: Runtime> PendingPut<RT> {
-    /// The value being written (for retries).
-    pub fn value(&self) -> &Bytes {
-        &self.value
-    }
-
-    /// Elapsed-in-section time the write was stamped with; a retry must
-    /// replay this stamp (see [`MusicReplica::critical_put_resume`]).
-    pub fn elapsed(&self) -> SimDuration {
-        self.elapsed
-    }
-
     /// Awaits the quorum acknowledgment.
     ///
     /// # Errors
@@ -1561,15 +1489,15 @@ impl<RT: Runtime> PendingPut<RT> {
         self.handle.await
     }
 
-    /// Awaits the acknowledgment, returning the retry context alongside
-    /// the outcome.
-    pub async fn outcome(self) -> (Bytes, SimDuration, Result<(), CriticalError>) {
-        let PendingPut {
-            value,
-            elapsed,
-            handle,
-        } = self;
-        let r = handle.await;
-        (value, elapsed, r)
+    /// Awaits the acknowledgment, returning alongside the outcome the
+    /// request that replays the write with its original stamp.
+    pub async fn outcome(self) -> (PutReq, Result<(), CriticalError>) {
+        let replay = PutReq {
+            stamp: PutStamp::Replay {
+                elapsed: self.elapsed,
+            },
+            ..PutReq::new(self.put)
+        };
+        (replay, self.handle.await)
     }
 }

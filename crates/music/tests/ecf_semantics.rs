@@ -4,8 +4,10 @@
 
 use bytes::Bytes;
 use music::{
-    AcquireOutcome, CriticalError, MusicConfig, MusicSystem, MusicSystemBuilder, PutMode, Watchdog,
+    AcquireOutcome, CriticalError, MusicConfig, MusicSystem, MusicSystemBuilder, PutMode, PutReq,
+    Watchdog,
 };
+use music_quorumstore::Put;
 use music_simnet::prelude::*;
 
 fn quiet_net() -> NetConfig {
@@ -373,7 +375,9 @@ fn critical_delete_removes_the_true_value() {
         let lr = r.create_lock_ref("doomed").await.unwrap();
         while r.acquire_lock("doomed", lr).await.unwrap() != AcquireOutcome::Acquired {}
         r.critical_put("doomed", lr, b("alive")).await.unwrap();
-        r.critical_delete("doomed", lr).await.unwrap();
+        r.critical_put_req("doomed", lr, PutReq::new(Put::delete()))
+            .await
+            .unwrap();
         assert_eq!(r.critical_get("doomed", lr).await.unwrap(), None);
         r.release_lock("doomed", lr).await.unwrap();
 

@@ -228,3 +228,57 @@ fn multi_replica_per_site_deployment_works() {
         }
     });
 }
+
+/// A combining-round leader whose future is dropped — here by a short
+/// timeout, as a per-operation deadline around `enter` does — must not
+/// leave its round behind. Cancelled mid-gather, the round must close so
+/// the next combined enqueue on the key starts a fresh one; cancelled
+/// mid-LWT, the members parked on the round must fall back to the single
+/// path instead of polling a settlement that never comes.
+#[test]
+fn cancelled_combining_leader_strands_no_enqueue() {
+    let sys = MusicSystemBuilder::new()
+        .profile(LatencyProfile::one_us())
+        .net_config(quiet())
+        .seed(23)
+        .build();
+    let sim = sys.sim().clone();
+    let sys2 = sys.clone();
+    sim.block_on(async move {
+        let sim = sys2.sim().clone();
+        let r = sys2.replica(0).clone();
+        let patience = SimDuration::from_secs(20);
+
+        let cut = timeout(
+            &sim,
+            SimDuration::from_micros(100),
+            r.create_lock_ref_combined("k"),
+        )
+        .await;
+        assert!(cut.is_err(), "the leader is cut off mid-gather");
+        let next = timeout(&sim, patience, r.create_lock_ref_combined("k")).await;
+        assert!(
+            matches!(next, Ok(Ok(_))),
+            "a combined enqueue on the key must not wait on the dead round"
+        );
+
+        // A member joins while the leader gathers; the leader is then cut
+        // off inside its batch LWT (4 WAN round trips ≈ 215 ms on 1Us).
+        let member = {
+            let r = r.clone();
+            sim.spawn(async move { r.create_lock_ref_combined("j").await })
+        };
+        let cut = timeout(
+            &sim,
+            SimDuration::from_millis(50),
+            r.create_lock_ref_combined("j"),
+        )
+        .await;
+        assert!(cut.is_err(), "the leader is cut off mid-LWT");
+        let joined = timeout(&sim, patience, member).await;
+        assert!(
+            matches!(joined, Ok(Ok(_))),
+            "the parked member must fall back to the single path"
+        );
+    });
+}

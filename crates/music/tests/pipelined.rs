@@ -3,10 +3,12 @@
 //! release), and ECF under a pipelined lockholder crash.
 
 use bytes::Bytes;
-use music::{MusicConfig, MusicError, MusicSystemBuilder, Watchdog, WriteMode};
+use music::{
+    MusicConfig, MusicError, MusicSystemBuilder, V2s, VectorTimestamp, Watchdog, WriteMode,
+};
 use music_quorumstore::StoreError;
 use music_simnet::prelude::*;
-use music_telemetry::{check, Recorder};
+use music_telemetry::{check, EventKind, Recorder};
 
 fn b(s: &'static str) -> Bytes {
     Bytes::from_static(s.as_bytes())
@@ -260,4 +262,69 @@ fn unavailable_names_its_store_cause() {
         )
     });
     assert!(named, "clientFailover events must carry the cause");
+}
+
+/// A pipelined put whose quorum write fails is re-driven with its
+/// *original* stamp: the re-driven row carries `v2s(lock_ref, elapsed at
+/// issue)` rather than a fresh (higher) stamp that could clobber later
+/// writes of the section, a later put still wins last-write-wins, and the
+/// trace shows one logical write — one `critPutStart` for the value.
+#[test]
+fn redriven_put_replays_its_original_stamp() {
+    let rec = Recorder::tracing();
+    let sys = MusicSystemBuilder::new()
+        .profile(LatencyProfile::one_us())
+        .net_config(quiet())
+        .telemetry(rec.clone())
+        .seed(35)
+        .build();
+    let sim = sys.sim().clone();
+    let sys2 = sys.clone();
+    sim.block_on(async move {
+        let piped = sys2
+            .client_at_site(0)
+            .with_write_mode(WriteMode::Pipelined { window: 4 });
+        let cs = piped.enter("k").await.unwrap();
+        let lock_ref = cs.lock_ref();
+        let (_, start) = piped.primary().peek_holder("k").await.unwrap().unwrap();
+        let start = start.expect("granted sections carry a start time");
+
+        // Two of three data replicas go dark: the write is issued (the
+        // local peek still answers) but cannot reach a quorum.
+        let nodes = sys2.store_nodes().to_vec();
+        sys2.net().set_node_up(nodes[1], false);
+        sys2.net().set_node_up(nodes[2], false);
+        cs.put(b("v1")).await.unwrap();
+        // Issuing awaits nothing after stamping: this is the stamp instant.
+        let elapsed_at_issue = sys2.sim().now() - start;
+        sys2.sim().sleep(SimDuration::from_secs(30)).await;
+        sys2.net().set_node_up(nodes[1], true);
+        sys2.net().set_node_up(nodes[2], true);
+
+        // The flush finds the failed write and re-drives it.
+        cs.flush().await.unwrap();
+        let me = sys2.replica(0).node();
+        let original = V2s::new(MusicConfig::default().t_max)
+            .scalar(VectorTimestamp::new(lock_ref, elapsed_at_issue));
+        let redriven = sys2.data().read_quorum(me, "k").await.unwrap();
+        assert_eq!(redriven.value, Some(b("v1")));
+        assert_eq!(
+            redriven.stamp, original,
+            "re-driven under its original stamp"
+        );
+
+        cs.put(b("v2")).await.unwrap();
+        cs.flush().await.unwrap();
+        let latest = sys2.data().read_quorum(me, "k").await.unwrap();
+        assert_eq!(latest.value, Some(b("v2")), "the later put wins");
+        assert!(latest.stamp > original);
+        cs.release().await.unwrap();
+    });
+    let v1 = music_telemetry::digest(b"v1");
+    let starts = rec
+        .events()
+        .iter()
+        .filter(|e| matches!(&e.kind, EventKind::CritPutStart { digest, .. } if *digest == v1))
+        .count();
+    assert_eq!(starts, 1, "a re-drive is the same logical write");
 }

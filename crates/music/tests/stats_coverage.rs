@@ -4,8 +4,9 @@
 //! the benchmark tables.
 
 use bytes::Bytes;
-use music::{AcquireOutcome, MusicSystem, MusicSystemBuilder, OpKind, PutMode};
-use music_quorumstore::Put;
+use music::{
+    AcquireOutcome, MusicConfig, MusicReplica, MusicSystem, MusicSystemBuilder, OpKind, PutMode,
+};
 use music_simnet::prelude::*;
 
 fn quiet_net() -> NetConfig {
@@ -44,10 +45,17 @@ fn every_op_kind_is_recorded() {
             sys2.sim().sleep(SimDuration::from_millis(10)).await;
         }
         r.critical_put("k", r0, b("v1")).await.unwrap();
-        // The LWT flavour of criticalPut (the MSCP baseline).
-        r.critical_put_with("k", r0, Put::value(b("v2")), PutMode::Lwt)
-            .await
-            .unwrap();
+        // The LWT flavour of criticalPut (the MSCP baseline): the same
+        // node and stores, configured for it.
+        let mscp = MusicReplica::new(
+            r.node(),
+            sys2.net().clone(),
+            sys2.locks().clone(),
+            sys2.data().clone(),
+            MusicConfig::builder().put_mode(PutMode::Lwt).build(),
+            sys2.stats().clone(),
+        );
+        mscp.critical_put("k", r0, b("v2")).await.unwrap();
         assert_eq!(r.critical_get("k", r0).await.unwrap(), Some(b("v2")));
         r.release_lock("k", r0).await.unwrap();
 
