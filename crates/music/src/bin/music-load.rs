@@ -33,7 +33,7 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use music::node::{remote_client, LoadConfig, RemoteMusicClient, CLIENT_ID_BASE};
-use music::{ContentionKnobs, MusicConfig, MusicError, PeekMode};
+use music::{MusicConfig, MusicError, PeekMode};
 use music_runtime::prelude::SimDuration;
 use music_runtime::{NativeRuntime, Runtime};
 use music_telemetry::{OnlineConfig, Recorder};
@@ -140,14 +140,15 @@ fn main() {
     // Flash crowds run with the contention-adaptive controller on: the
     // whole point of that pass is the hot-key convergence the controller
     // exists to absorb.
-    let mut music_builder = MusicConfig::builder();
-    if cfg.peek_quorum {
-        music_builder = music_builder.peek_mode(PeekMode::Quorum);
-    }
-    if cfg.flash_crowd {
-        music_builder = music_builder.contention(ContentionKnobs::adaptive());
-    }
-    let music_cfg = music_builder.build();
+    let music_cfg = MusicConfig {
+        peek_mode: if cfg.peek_quorum {
+            PeekMode::Quorum
+        } else {
+            PeekMode::Local
+        },
+        adaptive: cfg.flash_crowd,
+        ..MusicConfig::default()
+    };
     // With sampling on, the recorder feeds the streaming checker and
     // stores nothing; otherwise it is fully off.
     let recorder = if cfg.online_sample > 0 {

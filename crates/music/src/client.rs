@@ -39,7 +39,7 @@ use music_simnet::time::{SimDuration, SimTime};
 use music_telemetry::{SpanId, SpanPhase};
 
 use crate::backoff;
-use crate::config::WriteMode;
+use crate::config::{WriteMode, ACQUIRE_POLL};
 use crate::contention::ContentionController;
 use crate::error::{AcquireOutcome, AttemptTrail, CriticalError, MusicError};
 use crate::health::ReplicaHealth;
@@ -132,7 +132,7 @@ where
             cfg.breaker_cooldown,
             replicas[0].recorder(),
         );
-        let contention = ContentionController::new(cfg.contention);
+        let contention = ContentionController::new(cfg.adaptive);
         Ok(MusicClient {
             replicas,
             rt,
@@ -156,7 +156,7 @@ where
     ///
     /// This is a *per-client* override for running mixed modes over one
     /// deployment; to configure the deployment itself, use
-    /// [`MusicConfig::builder`](crate::MusicConfig::builder)`.write_mode(..)`.
+    /// [`MusicConfig::write_mode`](crate::MusicConfig::write_mode).
     #[must_use]
     pub fn with_write_mode(mut self, mode: WriteMode) -> Self {
         self.write_mode = Some(mode);
@@ -168,7 +168,7 @@ where
     /// and re-entries within `window` take the 0-RTT fast path.
     ///
     /// This is a *per-client* override; to enable leasing deployment-wide,
-    /// use [`MusicConfig::builder`](crate::MusicConfig::builder)`.lease_window(..)`.
+    /// use [`MusicConfig::lease_window`](crate::MusicConfig::lease_window).
     #[must_use]
     pub fn with_lease_window(mut self, window: SimDuration) -> Self {
         self.lease_window = Some(window);
@@ -339,7 +339,7 @@ where
     /// a peek failure fails *open* (admission control must never make an
     /// unavailable system less available).
     async fn admission_check(&self, key: &str) -> Result<(), MusicError> {
-        if self.contention.admission_bound() == 0 {
+        if !self.contention.enabled() {
             return Ok(());
         }
         let primary = self.primary();
@@ -394,7 +394,6 @@ where
         Fut: std::future::Future<Output = Result<T, StoreError>>,
     {
         let budget = self.retries().max(1);
-        let base = self.primary().config().acquire_poll;
         let salt = self.backoff_salt(op_name, 0);
         let mut trail = AttemptTrail::new();
         for attempt in 0..budget {
@@ -412,7 +411,9 @@ where
                     trail.note(e);
                     self.note_failover(op_name, attempt + 1, e.code());
                     if attempt + 1 < budget {
-                        self.rt.sleep(backoff::delay(base, attempt, salt)).await;
+                        self.rt
+                            .sleep(backoff::delay(ACQUIRE_POLL, attempt, salt))
+                            .await;
                     }
                 }
             }
@@ -434,7 +435,6 @@ where
         lock_ref: LockRef,
     ) -> Result<(), MusicError> {
         let key = key.as_ref();
-        let raw_poll = self.primary().config().acquire_poll;
         // Contention-adaptive polling: when the controller is on, each
         // `NotYet` peeks the *local* queue position and paces the next
         // poll proportionally to the depth — tight near the head (a
@@ -447,7 +447,7 @@ where
         // position peek).
         let spin = self.contention.spin_budget(key);
         let stretch = self.contention.backoff_shift(key);
-        let base_poll = SimDuration::from_micros(raw_poll.as_micros() << stretch);
+        let base_poll = SimDuration::from_micros(ACQUIRE_POLL.as_micros() << stretch);
         // "Standard back-off mechanisms can be used to alleviate the cost
         // of polling" (§III-A): exponential with deterministic jitter,
         // always within [base, 64×base], so co-located contenders do not
@@ -480,7 +480,9 @@ where
                                     // Next in line (or an unconfirmed
                                     // head): poll tight, the handoff is
                                     // one release away.
-                                    Ok(Some(pos)) if pos <= 1 => backoff::delay(raw_poll, 0, salt),
+                                    Ok(Some(pos)) if pos <= 1 => {
+                                        backoff::delay(ACQUIRE_POLL, 0, salt)
+                                    }
                                     // Deep in the queue: pace the poll by
                                     // the position — nothing can change
                                     // for at least `pos` handoffs. The
@@ -489,7 +491,9 @@ where
                                     // over-delay the eventual handoff.
                                     Ok(Some(pos)) => {
                                         let scaled = SimDuration::from_micros(
-                                            raw_poll.as_micros().saturating_mul(pos.min(16) as u64),
+                                            ACQUIRE_POLL
+                                                .as_micros()
+                                                .saturating_mul(pos.min(16) as u64),
                                         );
                                         backoff::delay(scaled, 0, salt)
                                     }
@@ -501,7 +505,7 @@ where
                                     // paced wait would sleep for the full
                                     // 64× cap at the worst moment.
                                     _ => backoff::delay(
-                                        raw_poll,
+                                        ACQUIRE_POLL,
                                         polls.saturating_sub(spin).min(4),
                                         salt,
                                     ),
@@ -557,7 +561,6 @@ where
         F: FnMut(MusicReplica<RT, D, L>) -> Fut,
         Fut: std::future::Future<Output = Result<T, CriticalError>>,
     {
-        let poll = self.primary().config().acquire_poll;
         let budget = self.retries().max(1);
         let salt = self.backoff_salt(op_name, 1);
         let mut failures = 0u32;
@@ -592,7 +595,7 @@ where
                     // (convergence is local; exponential growth would
                     // only delay the holder).
                     let nonce = salt.wrapping_add(u64::from(failures));
-                    self.rt.sleep(backoff::delay(poll, 0, nonce)).await;
+                    self.rt.sleep(backoff::delay(ACQUIRE_POLL, 0, nonce)).await;
                 }
                 Err(CriticalError::NoLongerHolder) => {
                     self.health.on_success(idx, self.rt.now(), self.rt.trace());
@@ -612,7 +615,7 @@ where
                     replica_idx = idx + 1;
                     self.note_failover(op_name, failures, e.code());
                     self.rt
-                        .sleep(backoff::delay(poll, failures - 1, salt))
+                        .sleep(backoff::delay(ACQUIRE_POLL, failures - 1, salt))
                         .await;
                 }
             }
@@ -774,17 +777,11 @@ where
         let key = key.as_ref();
         let t0 = self.rt.now();
         self.contention.on_enter(key, t0.as_micros());
-        // The lease fast path consumes no queue slot, so it is exempt from
-        // admission control; a suspended lease (anti-starvation cooloff)
-        // is surrendered below instead of being re-used.
-        let holds_lease = self.leases.borrow().contains_key(key);
-        if !holds_lease {
-            self.admission_check(key).await?;
-        }
         // The section root span stays open until release (or drop) and
         // every phase below — including replica-side headship confirms —
         // parents onto it through the task's span tag.
         let section_span = self.span_open(SpanPhase::Section, key);
+        let holds_lease = self.leases.borrow().contains_key(key);
         if holds_lease && !self.contention.lease_retention_allowed(key) {
             // Anti-starvation: while retention is suspended, hand the key
             // back through the FIFO queue instead of monopolizing it via
@@ -800,6 +797,13 @@ where
                 self.note_grant(key, t0);
             }
             return Ok(self.section(key, lock_ref, self.rt.now(), section_span));
+        }
+        // Only the lease fast path, which consumes no queue slot, is exempt
+        // from admission control: every enter that reaches the enqueue is
+        // checked, lease holders included.
+        if let Err(e) = self.admission_check(key).await {
+            self.span_close(section_span);
+            return Err(e);
         }
         // Anti-starvation politeness: while lease retention is suspended
         // the key is known-contended, so an empty queue means a
@@ -878,7 +882,6 @@ where
         if !crate::timestamp::lease_claimable(self.rt.now(), grant.until, eps) {
             return None;
         }
-        let poll = self.primary().config().acquire_poll;
         let span = self.span_open(SpanPhase::LeaseReenter, key);
         // A couple of polls tolerate a local replica that has not yet
         // applied the release LWT; beyond that, fall back rather than spin.
@@ -889,7 +892,7 @@ where
                     reentered = Some(grant.lock_ref);
                     break;
                 }
-                Ok(AcquireOutcome::NotYet) => self.rt.sleep(poll).await,
+                Ok(AcquireOutcome::NotYet) => self.rt.sleep(ACQUIRE_POLL).await,
                 Ok(AcquireOutcome::NoLongerHolder) => {
                     // Our cached lease was broken or revoked: direct
                     // evidence of competitors on this key. Suspend lease
@@ -904,21 +907,20 @@ where
         reentered
     }
 
-    /// The anti-starvation yield (see [`ContentionKnobs::yield_patience`](
-    /// crate::contention::ContentionKnobs)): polls the cheap local queue
-    /// view until a competitor's reference appears (then refreshes the
-    /// lease-contention suspension and returns — we enqueue *behind*
-    /// them) or the patience runs out (the competitor left; retention may
-    /// resume once the cooloff decays). A peek failure ends the yield:
-    /// politeness must never reduce availability.
+    /// The anti-starvation yield (see
+    /// [`YIELD_PATIENCE`](crate::contention::YIELD_PATIENCE)): polls the
+    /// cheap local queue view until a competitor's reference appears (then
+    /// refreshes the lease-contention suspension and returns — we enqueue
+    /// *behind* them) or the patience runs out (the competitor left;
+    /// retention may resume once the cooloff decays). A peek failure ends
+    /// the yield: politeness must never reduce availability.
     async fn yield_to_competitors(&self, key: &str, patience: SimDuration) {
         let primary = self.primary();
         // Coarse polling: the point is to notice a competitor's enqueue
         // within a few tens of milliseconds (one WAN hop's precision),
         // not to race it — a tight poll here would multiply RPC load on
         // every suspended key for no fairness gain.
-        let poll =
-            SimDuration::from_micros(primary.config().acquire_poll.as_micros().saturating_mul(4));
+        let poll = SimDuration::from_micros(ACQUIRE_POLL.as_micros() * 4);
         let deadline = self.rt.now() + patience;
         let salt = self.backoff_salt("enqueueYield", backoff::hash_str(key));
         let mut attempt = 0u32;

@@ -28,7 +28,7 @@
 //! competitors queued) — so a near client cannot monopolize a hot key via
 //! 0-RTT lease re-entries while far sites pay the break path forever.
 //! While suspended, an `enter` that finds the queue empty also *yields*
-//! (bounded by [`ContentionKnobs::yield_patience`]) for a competitor's
+//! (bounded by [`YIELD_PATIENCE`]) for a competitor's
 //! enqueue to land before racing its own in: suspension alone is not
 //! enough when the monopolist can re-enqueue in microseconds and the far
 //! site needs 4 WAN round trips to get a reference into the queue.
@@ -67,121 +67,68 @@ impl Mode {
     }
 }
 
-/// Tunables for the contention controller. Off by default — a default
-/// [`MusicConfig`](crate::MusicConfig) behaves exactly as before this
-/// module existed (every baseline trace and BENCH artifact is unchanged).
-#[derive(Copy, Clone, Debug)]
-pub struct ContentionKnobs {
-    /// Master switch; `false` (the default) disables every adaptive
-    /// behavior and all controller bookkeeping.
-    pub enabled: bool,
-    /// EWMA smoothing: α = 1 / 2^`ewma_shift`.
-    pub ewma_shift: u32,
-    /// Grant-wait EWMA (µs) at or above which a key switches to
-    /// [`Mode::Hot`].
-    pub hot_enter_us: u64,
-    /// Grant-wait EWMA (µs) at or below which a hot key cools down. Must
-    /// be strictly below [`ContentionKnobs::hot_enter_us`] (the
-    /// constructor enforces the gap), so the switch has hysteresis and
-    /// cannot oscillate on a constant signal.
-    pub hot_exit_us: u64,
-    /// Bounded optimistic head polls (spins) the acquire loop runs before
-    /// exponential backoff, in `Cool` mode. `Hot` mode spins zero times.
-    pub spin_polls: u32,
-    /// In `Hot` mode the acquire backoff base is stretched by
-    /// 2^`hot_backoff_shift`.
-    pub hot_backoff_shift: u32,
-    /// Batch same-key waiter enqueues into one LWT round while `Hot`.
-    pub combine: bool,
-    /// Admission guard: reject `enter` when the observed queue depth
-    /// reaches this bound. `0` disables the guard.
-    pub max_queue_depth: usize,
-    /// Base client back-off suggested by an admission rejection; the
-    /// suggestion grows linearly with the excess depth (capped at 64×).
-    pub retry_after_base: SimDuration,
-    /// Auto-tuned lease-window clamp floor: never mint a lease shorter
-    /// than this (a too-short lease is pure overhead — it is broken or
-    /// revoked before the think time elapses).
-    pub lease_floor: SimDuration,
-    /// Auto-tuned lease-window clamp ceiling: never mint a lease longer
-    /// than this (a too-long lease holds competitors hostage for the
-    /// whole break path).
-    pub lease_ceil: SimDuration,
-    /// Anti-starvation fairness bound: when a key's grant-wait EWMA (µs)
-    /// exceeds this, lease retention is suspended for the key so every
-    /// entry goes through the FIFO queue. `0` means "use `hot_enter_us`".
-    pub fairness_wait_us: u64,
-    /// How many sections lease retention stays suspended after observed
-    /// lease contention (a broken lease at re-enter, or competitors
-    /// queued at release).
-    pub lease_cooloff: u32,
-    /// Anti-starvation politeness bound: while lease retention is
-    /// suspended (the key is known-contended), an `enter` that finds the
-    /// local lock queue *empty* waits up to this long for a competitor's
-    /// reference to land before enqueueing its own — a near client can
-    /// re-enqueue in microseconds while a far site pays 4 WAN round
-    /// trips, so racing into the empty queue re-creates the monopoly the
-    /// suspension just broke. Observing a competitor refreshes the
-    /// suspension. `0` disables the yield.
-    pub yield_patience: SimDuration,
-}
+// ---------------------------------------------------------------------------
+// Controller thresholds. Fixed: the paper leaves lock polling to "standard
+// back-off mechanisms" (§III-A), and nothing tunes these per deployment —
+// `MusicConfig::adaptive` switches the whole controller on or off.
+// ---------------------------------------------------------------------------
 
-impl Default for ContentionKnobs {
-    fn default() -> Self {
-        ContentionKnobs {
-            enabled: false,
-            ewma_shift: 2,
-            hot_enter_us: 400_000,
-            hot_exit_us: 100_000,
-            spin_polls: 8,
-            hot_backoff_shift: 2,
-            combine: true,
-            max_queue_depth: 0,
-            retry_after_base: SimDuration::from_millis(25),
-            lease_floor: SimDuration::from_millis(5),
-            lease_ceil: SimDuration::from_secs(8),
-            fairness_wait_us: 0,
-            lease_cooloff: 8,
-            yield_patience: SimDuration::from_secs(1),
-        }
-    }
-}
+/// EWMA smoothing: α = 1 / 2^`EWMA_SHIFT`.
+pub const EWMA_SHIFT: u32 = 2;
+/// Grant-wait EWMA (µs) at or above which a key switches to [`Mode::Hot`].
+/// Also the anti-starvation fairness bound: a key whose grant-wait EWMA
+/// reaches it suspends lease retention so every entry goes through the
+/// FIFO queue.
+pub const HOT_ENTER_US: u64 = 400_000;
+/// Grant-wait EWMA (µs) at or below which a hot key cools down. Strictly
+/// below [`HOT_ENTER_US`], so the switch has hysteresis and cannot
+/// oscillate on a constant signal.
+pub const HOT_EXIT_US: u64 = 100_000;
+/// Bounded optimistic head polls (spins) the acquire loop runs before
+/// exponential backoff, in `Cool` mode. `Hot` mode spins zero times.
+pub const SPIN_POLLS: u32 = 8;
+/// In `Hot` mode the acquire backoff base is stretched by
+/// 2^`HOT_BACKOFF_SHIFT`.
+pub const HOT_BACKOFF_SHIFT: u32 = 2;
+/// Admission guard: reject `enter` when the observed queue depth reaches
+/// this bound — a flash crowd is fast-rejected with a retry hint instead
+/// of piling thirty LWT proposers onto one key's ballot.
+pub const MAX_QUEUE_DEPTH: usize = 16;
+/// Base client back-off suggested by an admission rejection; the
+/// suggestion grows linearly with the excess depth (capped at 64×).
+pub const RETRY_AFTER_BASE: SimDuration = SimDuration::from_millis(25);
+/// Auto-tuned lease-window clamp floor: never mint a lease shorter than
+/// this (a too-short lease is pure overhead — it is broken or revoked
+/// before the think time elapses).
+pub const LEASE_FLOOR: SimDuration = SimDuration::from_millis(5);
+/// Auto-tuned lease-window clamp ceiling: never mint a lease longer than
+/// this (a too-long lease holds competitors hostage for the whole break
+/// path).
+pub const LEASE_CEIL: SimDuration = SimDuration::from_secs(8);
+/// How many sections lease retention stays suspended after observed
+/// lease contention (a broken lease at re-enter, or competitors queued at
+/// release).
+pub const LEASE_COOLOFF: u32 = 8;
+/// Anti-starvation politeness bound: while lease retention is suspended
+/// (the key is known-contended), an `enter` that finds the local lock
+/// queue *empty* waits up to this long for a competitor's reference to
+/// land before enqueueing its own — a near client can re-enqueue in
+/// microseconds while a far site pays 4 WAN round trips, so racing into
+/// the empty queue re-creates the monopoly the suspension just broke.
+/// Observing a competitor refreshes the suspension.
+pub const YIELD_PATIENCE: SimDuration = SimDuration::from_secs(1);
 
-impl ContentionKnobs {
-    /// An enabled controller with the default thresholds, including the
-    /// graceful-degradation floor: a bounded lock queue (admission guard)
-    /// so a flash crowd is fast-rejected with a retry hint instead of
-    /// piling thirty LWT proposers onto one key's ballot.
-    pub fn adaptive() -> Self {
-        ContentionKnobs {
-            enabled: true,
-            max_queue_depth: 16,
-            ..ContentionKnobs::default()
-        }
-    }
-
-    /// Validates and normalizes the knobs: the hysteresis gap must be
-    /// strict (`hot_exit < hot_enter`), the clamp well-ordered
-    /// (`lease_floor ≤ lease_ceil`). Called by the config builder.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `enabled` and a constraint is violated.
-    pub fn validate(self) -> Self {
-        if self.enabled {
-            assert!(
-                self.hot_exit_us < self.hot_enter_us,
-                "hysteresis requires hot_exit_us < hot_enter_us"
-            );
-            assert!(
-                self.lease_floor <= self.lease_ceil,
-                "lease clamp floor must not exceed ceiling"
-            );
-            assert!(self.ewma_shift < 32, "ewma_shift out of range");
-        }
-        self
-    }
-}
+const _: () = {
+    assert!(
+        HOT_EXIT_US < HOT_ENTER_US,
+        "hysteresis requires HOT_EXIT_US < HOT_ENTER_US"
+    );
+    assert!(
+        LEASE_FLOOR.as_micros() <= LEASE_CEIL.as_micros(),
+        "lease clamp floor must not exceed ceiling"
+    );
+    assert!(EWMA_SHIFT < 32, "EWMA_SHIFT out of range");
+};
 
 // ---------------------------------------------------------------------------
 // Pure controller arithmetic (property-tested).
@@ -214,11 +161,11 @@ pub const fn ewma_update(prev: u64, sample: u64, shift: u32) -> u64 {
 /// The hysteresis step: `Cool → Hot` at or above `enter`, `Hot → Cool` at
 /// or below `exit`; anywhere between the thresholds the mode is sticky.
 ///
-/// With `exit < enter` (enforced by [`ContentionKnobs::validate`]) no
-/// constant `ewma` can produce more than one switch: after a `Cool → Hot`
-/// transition at `ewma ≥ enter > exit`, `Hot → Cool` would need
-/// `ewma ≤ exit` — a contradiction, and symmetrically for the other
-/// direction.
+/// With `exit < enter` (asserted at compile time for [`HOT_EXIT_US`] and
+/// [`HOT_ENTER_US`]) no constant `ewma` can produce more than one switch:
+/// after a `Cool → Hot` transition at `ewma ≥ enter > exit`, `Hot → Cool`
+/// would need `ewma ≤ exit` — a contradiction, and symmetrically for the
+/// other direction.
 pub const fn next_mode(mode: Mode, ewma: u64, enter: u64, exit: u64) -> Mode {
     match mode {
         Mode::Cool => {
@@ -282,32 +229,27 @@ struct KeyState {
 /// (shared state), deterministic (no wall clock, no RNG).
 #[derive(Clone, Debug)]
 pub struct ContentionController {
-    knobs: ContentionKnobs,
+    enabled: bool,
     keys: Rc<RefCell<HashMap<String, KeyState>>>,
 }
 
 impl ContentionController {
-    /// Builds a controller over validated knobs.
-    pub fn new(knobs: ContentionKnobs) -> Self {
+    /// Builds a controller; `enabled == false` makes every method inert.
+    pub fn new(enabled: bool) -> Self {
         ContentionController {
-            knobs: knobs.validate(),
+            enabled,
             keys: Rc::new(RefCell::new(HashMap::new())),
         }
     }
 
     /// Whether any adaptive behavior is active.
     pub fn enabled(&self) -> bool {
-        self.knobs.enabled
-    }
-
-    /// The knobs this controller runs with.
-    pub fn knobs(&self) -> &ContentionKnobs {
-        &self.knobs
+        self.enabled
     }
 
     /// Current strategy for `key`.
     pub fn mode(&self, key: &str) -> Mode {
-        if !self.knobs.enabled {
+        if !self.enabled {
             return Mode::Cool;
         }
         self.keys.borrow().get(key).map_or(Mode::Cool, |s| s.mode)
@@ -317,28 +259,18 @@ impl ContentionController {
     /// when the hysteresis switched strategy (for the `strategySwitch`
     /// event).
     pub fn on_grant_wait(&self, key: &str, wait_us: u64) -> Option<(Mode, u64)> {
-        if !self.knobs.enabled {
+        if !self.enabled {
             return None;
         }
         let mut keys = self.keys.borrow_mut();
         let s = keys.entry(key.to_string()).or_default();
-        s.wait_ewma_us = ewma_update(s.wait_ewma_us, wait_us, self.knobs.ewma_shift);
-        let next = next_mode(
-            s.mode,
-            s.wait_ewma_us,
-            self.knobs.hot_enter_us,
-            self.knobs.hot_exit_us,
-        );
-        let fairness = if self.knobs.fairness_wait_us == 0 {
-            self.knobs.hot_enter_us
-        } else {
-            self.knobs.fairness_wait_us
-        };
-        if s.wait_ewma_us >= fairness {
+        s.wait_ewma_us = ewma_update(s.wait_ewma_us, wait_us, EWMA_SHIFT);
+        let next = next_mode(s.mode, s.wait_ewma_us, HOT_ENTER_US, HOT_EXIT_US);
+        if s.wait_ewma_us >= HOT_ENTER_US {
             // Anti-starvation: a site waiting this long must not feed a
             // lease monopoly; force every entry through the FIFO queue
             // for a cooloff.
-            s.lease_suspended = s.lease_suspended.max(self.knobs.lease_cooloff);
+            s.lease_suspended = s.lease_suspended.max(LEASE_COOLOFF);
         }
         if next != s.mode {
             s.mode = next;
@@ -351,14 +283,14 @@ impl ContentionController {
     /// think time since the previous release and decays the lease
     /// suspension by one section.
     pub fn on_enter(&self, key: &str, now_us: u64) {
-        if !self.knobs.enabled {
+        if !self.enabled {
             return;
         }
         let mut keys = self.keys.borrow_mut();
         let s = keys.entry(key.to_string()).or_default();
         if let Some(rel) = s.last_release_us.take() {
             let think = now_us.saturating_sub(rel);
-            s.think_ewma_us = ewma_update(s.think_ewma_us, think, self.knobs.ewma_shift);
+            s.think_ewma_us = ewma_update(s.think_ewma_us, think, EWMA_SHIFT);
         }
         s.lease_suspended = s.lease_suspended.saturating_sub(1);
     }
@@ -366,7 +298,7 @@ impl ContentionController {
     /// Notes a release at virtual-time `now_us` (think-time measurement
     /// anchor).
     pub fn on_release(&self, key: &str, now_us: u64) {
-        if !self.knobs.enabled {
+        if !self.enabled {
             return;
         }
         let mut keys = self.keys.borrow_mut();
@@ -376,29 +308,26 @@ impl ContentionController {
 
     /// Notes observed lease contention on `key` — the cached lease was
     /// found broken at re-enter, or the release saw competitors queued.
-    /// Suspends lease retention for the configured cooloff.
+    /// Suspends lease retention for [`LEASE_COOLOFF`] sections.
     pub fn note_lease_contention(&self, key: &str) {
-        if !self.knobs.enabled {
+        if !self.enabled {
             return;
         }
         let mut keys = self.keys.borrow_mut();
         let s = keys.entry(key.to_string()).or_default();
-        s.lease_suspended = s.lease_suspended.max(self.knobs.lease_cooloff);
+        s.lease_suspended = s.lease_suspended.max(LEASE_COOLOFF);
     }
 
     /// The politeness bound for an `enter` on `key`, when one applies:
     /// `Some(patience)` while lease retention is suspended (or the key is
-    /// `Hot`) and the yield is configured — the caller should wait up to
-    /// `patience` for a competitor to appear in an empty queue before
-    /// enqueueing. `None` means enqueue immediately.
+    /// `Hot`) — the caller should wait up to `patience` for a competitor
+    /// to appear in an empty queue before enqueueing. `None` means
+    /// enqueue immediately.
     pub fn enqueue_yield(&self, key: &str) -> Option<SimDuration> {
-        if !self.knobs.enabled || self.knobs.yield_patience == SimDuration::ZERO {
-            return None;
-        }
-        if self.lease_retention_allowed(key) {
+        if !self.enabled || self.lease_retention_allowed(key) {
             None
         } else {
-            Some(self.knobs.yield_patience)
+            Some(YIELD_PATIENCE)
         }
     }
 
@@ -406,7 +335,7 @@ impl ContentionController {
     /// `false` while the key is `Hot` or inside a lease-contention
     /// cooloff (the anti-starvation rule).
     pub fn lease_retention_allowed(&self, key: &str) -> bool {
-        if !self.knobs.enabled {
+        if !self.enabled {
             return true;
         }
         let keys = self.keys.borrow();
@@ -419,11 +348,11 @@ impl ContentionController {
     /// static `window` while no think time has been observed yet, still
     /// clamped (the tuner must never mint below the floor).
     pub fn auto_window(&self, key: &str, window: SimDuration) -> SimDuration {
-        if !self.knobs.enabled {
+        if !self.enabled {
             return window;
         }
-        let floor = self.knobs.lease_floor.as_micros();
-        let ceil = self.knobs.lease_ceil.as_micros();
+        let floor = LEASE_FLOOR.as_micros();
+        let ceil = LEASE_CEIL.as_micros();
         let think = self.keys.borrow().get(key).map_or(0, |s| s.think_ewma_us);
         let us = if think == 0 {
             clamp_window(window.as_micros() / 2, floor, ceil)
@@ -437,60 +366,46 @@ impl ContentionController {
     /// before exponential backoff: the spin budget in `Cool`, zero in
     /// `Hot`.
     pub fn spin_budget(&self, key: &str) -> u32 {
-        if !self.knobs.enabled {
+        if !self.enabled {
             return 0;
         }
         match self.mode(key) {
-            Mode::Cool => self.knobs.spin_polls,
+            Mode::Cool => SPIN_POLLS,
             Mode::Hot => 0,
         }
     }
 
     /// Left-shift applied to the acquire backoff base for `key` (stretch
-    /// under contention): 0 in `Cool`, `hot_backoff_shift` in `Hot`.
+    /// under contention): 0 in `Cool`, [`HOT_BACKOFF_SHIFT`] in `Hot`.
     pub fn backoff_shift(&self, key: &str) -> u32 {
-        if !self.knobs.enabled {
+        if !self.enabled {
             return 0;
         }
         match self.mode(key) {
             Mode::Cool => 0,
-            Mode::Hot => self.knobs.hot_backoff_shift,
+            Mode::Hot => HOT_BACKOFF_SHIFT,
         }
     }
 
     /// Whether same-key enqueues should go through the combiner right
-    /// now: only when enabled, configured, and the key is `Hot` (in
-    /// `Cool` the extra round coordination is pure overhead).
+    /// now: only when enabled and the key is `Hot` (in `Cool` the extra
+    /// round coordination is pure overhead).
     pub fn combine_now(&self, key: &str) -> bool {
-        self.knobs.enabled && self.knobs.combine && self.mode(key) == Mode::Hot
+        self.mode(key) == Mode::Hot
     }
 
     /// The admission guard: `Err(retry_after)` when `depth` has reached
-    /// the configured bound (the graceful-degradation floor). `Ok(())`
-    /// when admission control is off or the queue has room.
+    /// [`MAX_QUEUE_DEPTH`] (the graceful-degradation floor). `Ok(())`
+    /// when the controller is off or the queue has room.
     pub fn admit(&self, depth: usize) -> Result<(), SimDuration> {
-        if !self.knobs.enabled || self.knobs.max_queue_depth == 0 {
-            return Ok(());
-        }
-        let bound = self.knobs.max_queue_depth;
-        if depth < bound {
+        if !self.enabled || depth < MAX_QUEUE_DEPTH {
             return Ok(());
         }
         Err(SimDuration::from_micros(overload_retry_after_us(
             depth,
-            bound,
-            self.knobs.retry_after_base.as_micros(),
+            MAX_QUEUE_DEPTH,
+            RETRY_AFTER_BASE.as_micros(),
         )))
-    }
-
-    /// The configured admission bound (`0` = off) — lets the client skip
-    /// the depth peek entirely when the guard is off.
-    pub fn admission_bound(&self) -> usize {
-        if self.knobs.enabled {
-            self.knobs.max_queue_depth
-        } else {
-            0
-        }
     }
 
     /// The grant-wait EWMA for `key` (instrumentation/tests).
@@ -595,96 +510,89 @@ mod tests {
 
     #[test]
     fn controller_switches_hot_and_back_with_hysteresis() {
-        let knobs = ContentionKnobs {
-            enabled: true,
-            hot_enter_us: 1_000,
-            hot_exit_us: 200,
-            ewma_shift: 0, // EWMA follows the sample exactly
-            ..ContentionKnobs::default()
-        };
-        let c = ContentionController::new(knobs);
+        let c = ContentionController::new(true);
         assert_eq!(c.mode("k"), Mode::Cool);
-        let sw = c.on_grant_wait("k", 5_000).expect("switches hot");
-        assert_eq!(sw.0, Mode::Hot);
-        assert_eq!(c.mode("k"), Mode::Hot);
+        // One wait of 2^EWMA_SHIFT × HOT_ENTER_US lifts the EWMA from zero
+        // exactly to the enter threshold.
+        let sw = c.on_grant_wait("k", HOT_ENTER_US << EWMA_SHIFT);
+        assert_eq!(sw, Some((Mode::Hot, HOT_ENTER_US)));
         assert_eq!(c.spin_budget("k"), 0);
-        assert!(c.backoff_shift("k") > 0);
+        assert_eq!(c.backoff_shift("k"), HOT_BACKOFF_SHIFT);
         assert!(c.combine_now("k"));
-        // Between the thresholds: sticky.
-        assert!(c.on_grant_wait("k", 500).is_none());
+        assert!(!c.lease_retention_allowed("k"), "fairness bound suspends");
+        // Between the thresholds: sticky, however long the signal holds.
+        let mid = (HOT_ENTER_US + HOT_EXIT_US) / 2;
+        for _ in 0..64 {
+            assert!(c.on_grant_wait("k", mid).is_none());
+        }
         assert_eq!(c.mode("k"), Mode::Hot);
-        // Below exit: cools down.
-        let sw = c.on_grant_wait("k", 10).expect("cools");
-        assert_eq!(sw.0, Mode::Cool);
-        assert!(c.spin_budget("k") > 0);
+        // Zero waits decay the EWMA to the exit threshold: cools down.
+        let (mode, ewma) = (0..64)
+            .find_map(|_| c.on_grant_wait("k", 0))
+            .expect("cools");
+        assert_eq!(mode, Mode::Cool);
+        assert!(ewma <= HOT_EXIT_US);
+        assert_eq!(c.spin_budget("k"), SPIN_POLLS);
+        assert_eq!(c.backoff_shift("k"), 0);
         assert!(!c.combine_now("k"));
     }
 
     #[test]
     fn lease_retention_suspends_under_contention_and_recovers() {
-        let knobs = ContentionKnobs {
-            enabled: true,
-            lease_cooloff: 2,
-            ..ContentionKnobs::default()
-        };
-        let c = ContentionController::new(knobs);
+        let c = ContentionController::new(true);
         assert!(c.lease_retention_allowed("k"));
+        assert_eq!(c.enqueue_yield("k"), None);
         c.note_lease_contention("k");
-        assert!(!c.lease_retention_allowed("k"));
-        c.on_enter("k", 1);
-        assert!(!c.lease_retention_allowed("k"));
-        c.on_enter("k", 2);
+        for _ in 0..LEASE_COOLOFF {
+            assert!(!c.lease_retention_allowed("k"));
+            assert_eq!(c.enqueue_yield("k"), Some(YIELD_PATIENCE));
+            c.on_enter("k", 0);
+        }
         assert!(c.lease_retention_allowed("k"), "cooloff elapsed");
+        assert_eq!(c.enqueue_yield("k"), None);
     }
 
     #[test]
     fn auto_window_tracks_think_time_within_clamp() {
-        let knobs = ContentionKnobs {
-            enabled: true,
-            ewma_shift: 0,
-            lease_floor: SimDuration::from_micros(1_000),
-            lease_ceil: SimDuration::from_micros(50_000),
-            ..ContentionKnobs::default()
-        };
-        let c = ContentionController::new(knobs);
-        // No observation yet: static window, clamped.
-        let w = c.auto_window("k", SimDuration::from_secs(2));
-        assert_eq!(w, SimDuration::from_micros(50_000));
-        // Observe a 10ms think time: window = 2 × think.
+        let c = ContentionController::new(true);
+        // No observation yet: the static window, clamped.
+        let w = SimDuration::from_secs(2);
+        assert_eq!(c.auto_window("k", w), w);
+        assert_eq!(c.auto_window("k", SimDuration::from_secs(60)), LEASE_CEIL);
+        assert_eq!(c.auto_window("k", SimDuration::ZERO), LEASE_FLOOR);
+        // A 1 s think time moves the EWMA (from zero) to 250 ms: the
+        // window is twice that.
         c.on_release("k", 1_000);
-        c.on_enter("k", 11_000);
-        let w = c.auto_window("k", SimDuration::from_secs(2));
-        assert_eq!(w, SimDuration::from_micros(20_000));
-        // A tiny think time cannot dip below the floor.
-        c.on_release("k", 20_000);
-        c.on_enter("k", 20_001);
-        for _ in 0..4 {
-            c.on_release("k", 30_000);
-            c.on_enter("k", 30_001);
+        c.on_enter("k", 1_001_000);
+        assert_eq!(c.auto_window("k", w), SimDuration::from_millis(500));
+        // Long think times cannot push the window past the ceiling...
+        for _ in 0..8 {
+            c.on_release("k", 0);
+            c.on_enter("k", 100_000_000);
         }
-        let w = c.auto_window("k", SimDuration::from_secs(2));
-        assert!(w >= SimDuration::from_micros(1_000));
+        assert_eq!(c.auto_window("k", w), LEASE_CEIL);
+        // ...and tiny ones cannot dip it below the floor.
+        for _ in 0..64 {
+            c.on_release("k", 0);
+            c.on_enter("k", 1);
+        }
+        assert_eq!(c.auto_window("k", w), LEASE_FLOOR);
     }
 
     #[test]
     fn admission_guard_rejects_at_bound_with_growing_backoff() {
-        let knobs = ContentionKnobs {
-            enabled: true,
-            max_queue_depth: 4,
-            retry_after_base: SimDuration::from_micros(100),
-            ..ContentionKnobs::default()
-        };
-        let c = ContentionController::new(knobs);
+        let c = ContentionController::new(true);
         assert!(c.admit(0).is_ok());
-        assert!(c.admit(3).is_ok());
-        let r4 = c.admit(4).unwrap_err();
-        let r9 = c.admit(9).unwrap_err();
-        assert!(r9 > r4);
+        assert!(c.admit(MAX_QUEUE_DEPTH - 1).is_ok());
+        let at_bound = c.admit(MAX_QUEUE_DEPTH).unwrap_err();
+        assert_eq!(at_bound, RETRY_AFTER_BASE);
+        let deeper = c.admit(MAX_QUEUE_DEPTH + 4).unwrap_err();
+        assert!(deeper > at_bound);
     }
 
     #[test]
     fn disabled_controller_is_inert() {
-        let c = ContentionController::new(ContentionKnobs::default());
+        let c = ContentionController::new(false);
         assert!(!c.enabled());
         assert!(c.on_grant_wait("k", u64::MAX).is_none());
         assert_eq!(c.mode("k"), Mode::Cool);
@@ -692,19 +600,10 @@ mod tests {
         assert_eq!(c.backoff_shift("k"), 0);
         assert!(!c.combine_now("k"));
         assert!(c.admit(usize::MAX).is_ok());
+        c.note_lease_contention("k");
         assert!(c.lease_retention_allowed("k"));
+        assert_eq!(c.enqueue_yield("k"), None);
         let w = SimDuration::from_secs(2);
         assert_eq!(c.auto_window("k", w), w);
-    }
-
-    #[test]
-    #[should_panic(expected = "hysteresis")]
-    fn inverted_thresholds_rejected() {
-        let _ = ContentionController::new(ContentionKnobs {
-            enabled: true,
-            hot_enter_us: 100,
-            hot_exit_us: 100,
-            ..ContentionKnobs::default()
-        });
     }
 }

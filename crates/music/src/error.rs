@@ -179,8 +179,8 @@ pub enum MusicError {
     /// section.
     NotInSection,
     /// The admission guard fast-rejected the entry because the key's
-    /// lock queue has reached the configured depth bound
-    /// ([`crate::contention::ContentionKnobs::max_queue_depth`]) — the
+    /// lock queue has reached the depth bound
+    /// ([`crate::contention::MAX_QUEUE_DEPTH`]) — the
     /// graceful-degradation floor under a flash crowd. The client should
     /// back off for at least `retry_after` before re-trying; the
     /// suggestion grows with the observed excess depth.

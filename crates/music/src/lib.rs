@@ -77,8 +77,8 @@ pub mod watchdog;
 /// [`system::MusicSystemBuilder`], socket deployments [`node`].
 pub mod prelude {
     pub use crate::client::{CriticalSection, MultiCriticalSection, MusicClient};
-    pub use crate::config::{MusicConfig, MusicConfigBuilder, PeekMode, PutMode, WriteMode};
-    pub use crate::contention::{ContentionController, ContentionKnobs, Mode as ContentionMode};
+    pub use crate::config::{MusicConfig, PeekMode, PutMode, WriteMode};
+    pub use crate::contention::{ContentionController, Mode as ContentionMode};
     pub use crate::error::{AcquireOutcome, CriticalError, MusicError};
     pub use crate::replica::MusicReplica;
     pub use crate::stats::{OpKind, OpStats};
@@ -86,8 +86,8 @@ pub mod prelude {
 }
 
 pub use client::{CriticalSection, MultiCriticalSection, MusicClient};
-pub use config::{MusicConfig, MusicConfigBuilder, PeekMode, PutMode, WriteMode};
-pub use contention::{ContentionController, ContentionKnobs};
+pub use config::{MusicConfig, PeekMode, PutMode, WriteMode};
+pub use contention::ContentionController;
 pub use error::{AcquireOutcome, AttemptTrail, CriticalError, MusicError};
 pub use health::ReplicaHealth;
 pub use music_lockstore::LockRef;

@@ -499,11 +499,7 @@ pub fn run_nemesis(
         failure_timeout: SimDuration::from_secs(4),
         breaker_cooldown: SimDuration::from_millis(500),
         clock_epsilon: options.drift.map_or(SimDuration::ZERO, |d| d.epsilon),
-        contention: if options.flash_crowd {
-            crate::contention::ContentionKnobs::adaptive()
-        } else {
-            crate::contention::ContentionKnobs::default()
-        },
+        adaptive: options.flash_crowd,
         ..MusicConfig::default()
     };
     let sys = MusicSystemBuilder::new()

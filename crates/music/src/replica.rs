@@ -29,7 +29,7 @@ use music_simnet::net::{Network, NodeId};
 use music_simnet::time::{SimDuration, SimTime};
 use music_telemetry::{EventKind, Recorder, Scope, SpanId, SpanPhase, TraceId};
 
-use crate::config::{MusicConfig, PeekMode, PutMode};
+use crate::config::{MusicConfig, PeekMode, PutMode, ACQUIRE_POLL, DELTA};
 use crate::error::{AcquireOutcome, CriticalError};
 use crate::stats::{OpKind, OpStats};
 use crate::timestamp::{lease_claimable, V2s, VectorTimestamp};
@@ -473,7 +473,7 @@ where
     /// refinement cannot tell a combined round from individual enqueues.
     ///
     /// The first caller on a key becomes the round *leader*: it waits one
-    /// `acquire_poll` gather window for co-arriving waiters, closes the
+    /// [`ACQUIRE_POLL`] gather window for co-arriving waiters, closes the
     /// round, and runs the batch LWT (with the same bounded lease-break
     /// loop as the single path). Parked waiters poll the round's
     /// settlement cell and receive `first + index`. Any round failure —
@@ -552,7 +552,7 @@ where
             // set for the next holder. Stamped like a forcedRelease of the
             // leased reference: above any reset it could have issued,
             // below the next holder's.
-            let stamp = self.v2s.forced_release_stamp(leased, self.cfg.delta);
+            let stamp = self.v2s.forced_release_stamp(leased, DELTA);
             self.data
                 .write_quorum(self.node, &synch_key(key), Put::value(FLAG_TRUE), stamp)
                 .await?;
@@ -604,7 +604,7 @@ where
         let Some(mut lead) = lead else {
             loop {
                 match settled.get() {
-                    Settled::Pending => self.rt.sleep(self.cfg.acquire_poll).await,
+                    Settled::Pending => self.rt.sleep(ACQUIRE_POLL).await,
                     Settled::Minted { first, count } if index < count => {
                         return Ok(LockRef::new(first.value() + u64::from(index)))
                     }
@@ -626,7 +626,7 @@ where
             };
             self.rt
                 .sleep(SimDuration::from_micros(
-                    self.cfg.acquire_poll.as_micros().saturating_mul(polls),
+                    ACQUIRE_POLL.as_micros().saturating_mul(polls),
                 ))
                 .await;
         }
@@ -636,7 +636,7 @@ where
         // of). The round stays open while we wait, so later arrivals
         // still join it.
         while self.lock_lwt_in_flight(key) {
-            self.rt.sleep(self.cfg.acquire_poll).await;
+            self.rt.sleep(ACQUIRE_POLL).await;
         }
         // Close the round *before* the LWT: arrivals during the round form
         // the next one (its leader chains on the gate behind this round's
@@ -1122,7 +1122,7 @@ where
     pub async fn mark_synch(&self, key: &str, lock_ref: LockRef) -> Result<(), StoreError> {
         Self::assert_client_key(key);
         let span = self.span_start("markSynch", key);
-        let stamp = self.v2s.forced_release_stamp(lock_ref, self.cfg.delta);
+        let stamp = self.v2s.forced_release_stamp(lock_ref, DELTA);
         let r = self
             .data
             .write_quorum(self.node, &synch_key(key), Put::value(FLAG_TRUE), stamp)
@@ -1297,7 +1297,7 @@ where
                 return Ok(()); // previously released
             }
         }
-        let stamp = self.v2s.forced_release_stamp(lock_ref, self.cfg.delta);
+        let stamp = self.v2s.forced_release_stamp(lock_ref, DELTA);
         self.data
             .write_quorum(self.node, &synch_key(key), Put::value(FLAG_TRUE), stamp)
             .await?;

@@ -400,7 +400,10 @@ fn mscp_mode_critical_puts_use_lwt() {
     let sys = MusicSystemBuilder::new()
         .profile(LatencyProfile::one_us())
         .net_config(quiet_net())
-        .music_config(MusicConfig::builder().put_mode(PutMode::Lwt).build())
+        .music_config(MusicConfig {
+            put_mode: PutMode::Lwt,
+            ..MusicConfig::default()
+        })
         .seed(4)
         .build();
     let sim = sys.sim().clone();

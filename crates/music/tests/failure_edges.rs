@@ -3,7 +3,7 @@
 //! interplay, and multi-replica-per-site deployments.
 
 use bytes::Bytes;
-use music::{AcquireOutcome, MusicConfig, MusicSystemBuilder, RepairDaemon, Watchdog};
+use music::{AcquireOutcome, MusicConfig, MusicError, MusicSystemBuilder, RepairDaemon, Watchdog};
 use music_simnet::prelude::*;
 
 fn quiet() -> NetConfig {
@@ -279,6 +279,51 @@ fn cancelled_combining_leader_strands_no_enqueue() {
         assert!(
             matches!(joined, Ok(Ok(_))),
             "the parked member must fall back to the single path"
+        );
+    });
+}
+
+/// The admission guard covers a client that holds a lease: the lease fast
+/// path consumes no queue slot and skips the guard, but once the lease
+/// turns out broken the enter falls through to the slow path, and there
+/// a full local queue must fast-reject it exactly like a fresh client —
+/// not enqueue a reference past the bound.
+#[test]
+fn lease_holder_is_admission_checked_on_the_slow_path() {
+    let sys = MusicSystemBuilder::new()
+        .profile(LatencyProfile::one_us())
+        .net_config(quiet())
+        .music_config(MusicConfig {
+            adaptive: true,
+            lease_window: Some(SimDuration::from_secs(60)),
+            ..MusicConfig::default()
+        })
+        .seed(25)
+        .build();
+    let sim = sys.sim().clone();
+    let sys2 = sys.clone();
+    sim.block_on(async move {
+        let sim = sys2.sim().clone();
+        let holder = sys2.client_at_site(0);
+        holder.enter("k").await.unwrap().release().await.unwrap();
+        // The first enqueue breaks the holder's lease; the queue then
+        // fills to the admission bound.
+        let other = sys2.replica(1).clone();
+        for _ in 0..music::contention::MAX_QUEUE_DEPTH {
+            other.create_lock_ref("k").await.unwrap();
+        }
+        // Let the last enqueue reach site 0's lock-store replica.
+        sim.sleep(SimDuration::from_secs(1)).await;
+        let patience = SimDuration::from_secs(5);
+        let fresh = timeout(&sim, patience, sys2.client_at_site(0).enter("k")).await;
+        assert!(
+            matches!(fresh, Ok(Err(MusicError::Overloaded { .. }))),
+            "a fresh client sees the full queue"
+        );
+        let entered = timeout(&sim, patience, holder.enter("k")).await;
+        assert!(
+            matches!(entered, Ok(Err(MusicError::Overloaded { .. }))),
+            "the lease holder must be fast-rejected, not enqueued past the bound"
         );
     });
 }

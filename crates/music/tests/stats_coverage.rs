@@ -52,7 +52,10 @@ fn every_op_kind_is_recorded() {
             sys2.net().clone(),
             sys2.locks().clone(),
             sys2.data().clone(),
-            MusicConfig::builder().put_mode(PutMode::Lwt).build(),
+            MusicConfig {
+                put_mode: PutMode::Lwt,
+                ..MusicConfig::default()
+            },
             sys2.stats().clone(),
         );
         mscp.critical_put("k", r0, b("v2")).await.unwrap();

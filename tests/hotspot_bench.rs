@@ -13,7 +13,7 @@
 //! Zipfian workload, which would dilute the ratio.
 
 use bytes::Bytes;
-use music_repro::music::{ContentionKnobs, MusicConfig, MusicError, MusicSystemBuilder, Watchdog};
+use music_repro::music::{MusicConfig, MusicError, MusicSystemBuilder, Watchdog};
 use music_repro::simnet::prelude::*;
 use music_repro::telemetry::{Recorder, Scope};
 use music_repro::workload::Zipfian;
@@ -38,12 +38,13 @@ struct CrowdRun {
 /// `Overloaded { retry_after }` hint; a watchdog collects the parked
 /// references that client failovers can orphan mid-enqueue (without it
 /// a wedged queue head would stall the drain in *both* configurations).
-fn run_flash_crowd(knobs: ContentionKnobs, clients: usize, horizon_s: u64) -> CrowdRun {
+fn run_flash_crowd(adaptive: bool, clients: usize, horizon_s: u64) -> CrowdRun {
     let recorder = Recorder::metrics_only();
-    let cfg = MusicConfig::builder()
-        .lease_window(SimDuration::from_secs(2))
-        .contention(knobs)
-        .build();
+    let cfg = MusicConfig {
+        lease_window: Some(SimDuration::from_secs(2)),
+        adaptive,
+        ..MusicConfig::default()
+    };
     let sys = MusicSystemBuilder::new()
         .profile(LatencyProfile::one_us())
         .music_config(cfg)
@@ -130,8 +131,8 @@ fn run_flash_crowd(knobs: ContentionKnobs, clients: usize, horizon_s: u64) -> Cr
 fn adaptive_doubles_fixed_throughput_on_the_flash_crowd() {
     let clients = 30;
     let horizon_s = 40;
-    let fixed = run_flash_crowd(ContentionKnobs::default(), clients, horizon_s);
-    let adaptive = run_flash_crowd(ContentionKnobs::adaptive(), clients, horizon_s);
+    let fixed = run_flash_crowd(false, clients, horizon_s);
+    let adaptive = run_flash_crowd(true, clients, horizon_s);
     assert!(
         fixed.crowd >= 1 && adaptive.crowd >= 1,
         "both configs must make progress in the crowd: \
@@ -179,8 +180,8 @@ fn adaptive_doubles_fixed_throughput_on_the_flash_crowd() {
 
 #[test]
 fn flash_crowd_runs_replay_byte_identically() {
-    let a = run_flash_crowd(ContentionKnobs::adaptive(), 8, 12);
-    let b = run_flash_crowd(ContentionKnobs::adaptive(), 8, 12);
+    let a = run_flash_crowd(true, 8, 12);
+    let b = run_flash_crowd(true, 8, 12);
     assert_eq!(a.total, b.total, "sections must replay identically");
     assert_eq!(
         a.virtual_us, b.virtual_us,
@@ -197,12 +198,13 @@ fn flash_crowd_runs_replay_byte_identically() {
 /// with the quorum majority on the 1UsEu profile) and a far client (site
 /// 2, across the Atlantic) both hammer one key for a fixed virtual
 /// horizon. Returns per-site `sections_entered`.
-fn run_hotspot_duel(knobs: ContentionKnobs) -> (u64, u64) {
+fn run_hotspot_duel(adaptive: bool) -> (u64, u64) {
     let recorder = Recorder::metrics_only();
-    let cfg = MusicConfig::builder()
-        .lease_window(SimDuration::from_secs(2))
-        .contention(knobs)
-        .build();
+    let cfg = MusicConfig {
+        lease_window: Some(SimDuration::from_secs(2)),
+        adaptive,
+        ..MusicConfig::default()
+    };
     let sys = MusicSystemBuilder::new()
         .profile(LatencyProfile::one_us_eu())
         .music_config(cfg)
@@ -247,8 +249,8 @@ fn run_hotspot_duel(knobs: ContentionKnobs) -> (u64, u64) {
 
 #[test]
 fn adaptive_bounds_per_site_starvation_on_the_hotspot() {
-    let (fixed_near, fixed_far) = run_hotspot_duel(ContentionKnobs::default());
-    let (adaptive_near, adaptive_far) = run_hotspot_duel(ContentionKnobs::adaptive());
+    let (fixed_near, fixed_far) = run_hotspot_duel(false);
+    let (adaptive_near, adaptive_far) = run_hotspot_duel(true);
     assert!(
         fixed_near >= 1 && fixed_far >= 1 && adaptive_near >= 1 && adaptive_far >= 1,
         "both sites must make progress in both configs: \
