@@ -217,11 +217,6 @@ impl Watchdog {
                 _ => false,
             };
             if expired_lease || now - stale_since >= timeout {
-                if std::env::var("MUSIC_WATCHDOG_TRACE").is_ok() {
-                    eprintln!(
-                        "[watchdog] t={now} preempting {head} on {key} (stale since {stale_since})"
-                    );
-                }
                 // Presumed failed (or orphaned, or an expired lease never
                 // claimed): preempt. The release is safe even if the
                 // holder is actually alive (ECF).
