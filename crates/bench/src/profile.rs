@@ -195,11 +195,9 @@ pub struct ModeProfile {
     pub span_report: SpanReport,
     /// The raw span log (for Chrome-trace export and tests).
     pub spans: Vec<Span>,
-    /// Streaming checker verdict, computed while the workload ran.
-    pub online: OnlineReport,
-    /// Whether the streaming ECF core matched the offline replay of the
-    /// same event log exactly (it must).
-    pub online_matches_offline: bool,
+    /// The checker's verdict (ECF plus the lock-queue refinement),
+    /// computed while the workload ran.
+    pub report: OnlineReport,
 }
 
 /// Counter totals every BENCH artifact carries, in emission order.
@@ -307,11 +305,10 @@ pub fn run_mode_profile(key: ModeKey, opts: &ProfileOptions) -> ModeProfile {
     let snapshot = sys.recorder().metrics();
     let spans = sys.recorder().spans();
     let span_report = check(&spans);
-    let online = sys
+    let report = sys
         .recorder()
         .online_report()
         .expect("streaming checker attached above");
-    let online_matches_offline = online.ecf == music_telemetry::check(&sys.recorder().events());
     let phases = durations_by_phase(&spans)
         .into_iter()
         .map(|(name, samples)| (name, PhaseStats::from_samples(samples)))
@@ -348,8 +345,7 @@ pub fn run_mode_profile(key: ModeKey, opts: &ProfileOptions) -> ModeProfile {
         sites: site_rows,
         span_report,
         spans,
-        online,
-        online_matches_offline,
+        report,
     }
 }
 
@@ -484,12 +480,10 @@ pub fn bench_json(name: &str, opts: &ProfileOptions, modes: &[ModeProfile]) -> S
         );
         let _ = writeln!(
             out,
-            "      \"online\": {{\"ok\": {}, \"ecf_equal\": {}, \"queue_checked\": {}, \
-             \"queue_violations\": {}}}",
-            m.online.ok(),
-            m.online_matches_offline,
-            m.online.queue_checked,
-            m.online.queue_violations.len()
+            "      \"online\": {{\"ok\": {}, \"queue_checked\": {}, \"queue_violations\": {}}}",
+            m.report.ok(),
+            m.report.queue_checked,
+            m.report.queue_violations.len()
         );
         out.push_str(if i + 1 < modes.len() {
             "    },\n"

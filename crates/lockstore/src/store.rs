@@ -363,22 +363,11 @@ impl<Tbl: TableApi<LockPartition>> LockStore<Tbl> {
         if granted.get() == LockRef::NONE {
             return Ok(None);
         }
+        // The `leaseGrant` event is the caller's to record: only it knows
+        // whether the lease can still be claimed now that the LWT returned.
         let rec = self.table.recorder();
         if rec.is_on() {
             rec.count(music_telemetry::Scope::Node(coord.0), "lease_grants", 1);
-            if rec.is_tracing() {
-                let rt = self.table.rt();
-                rec.record(
-                    rt.now().as_micros(),
-                    rt.trace(),
-                    coord.0,
-                    music_telemetry::EventKind::LeaseGrant {
-                        key: key.to_string(),
-                        lock_ref: granted.get().value(),
-                        until_us: until.as_micros(),
-                    },
-                );
-            }
         }
         Ok(Some((granted.get(), until)))
     }

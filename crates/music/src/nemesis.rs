@@ -35,8 +35,7 @@ use music_simnet::net::{NetConfig, Network, NodeId};
 use music_simnet::time::{SimDuration, SimTime};
 use music_simnet::topology::{LatencyProfile, SiteId};
 use music_telemetry::{
-    check, EcfReport, Event, EventKind, MetricsSnapshot, OnlineConfig, OnlineReport, Recorder,
-    Scope,
+    Event, EventKind, MetricsSnapshot, OnlineConfig, OnlineReport, Recorder, Scope,
 };
 use music_workload::FlashCrowd;
 
@@ -222,12 +221,9 @@ pub struct NemesisRun {
     pub events: Vec<Event>,
     /// Counter/histogram snapshot (empty if the recorder was off).
     pub metrics: MetricsSnapshot,
-    /// ECF checker verdict over `events`.
-    pub report: EcfReport,
-    /// Streaming checker verdict computed *during* the run (`None`
-    /// unless the recorder was tracing). Its ECF core must equal
-    /// [`NemesisRun::report`]; its queue layer must be clean.
-    pub online: Option<OnlineReport>,
+    /// The verdict — ECF plus the lock-queue refinement — computed by the
+    /// checker *during* the run (empty unless the recorder was tracing).
+    pub report: OnlineReport,
 }
 
 /// Draws the node-lane schedule: sequential, gap-separated faults so at
@@ -389,7 +385,7 @@ async fn apply_fault(sim: &Sim, net: &Network, sys: &MusicSystem, pf: &PlannedFa
 /// contended keyspace. Every failure path is tolerated — an error
 /// abandons the section to the watchdog and moves on — because under the
 /// nemesis *liveness* is the operating system's job; the run's verdict
-/// is the ECF check over the trace.
+/// is the checker's.
 async fn run_client(
     sys: MusicSystem,
     client_id: usize,
@@ -474,7 +470,7 @@ async fn run_client(
 }
 
 /// Runs one seeded nemesis schedule against one workload and returns the
-/// recorded telemetry plus the ECF verdict.
+/// recorded telemetry plus the checker's verdict.
 ///
 /// Deterministic: the same `(profile, seed, options.mode)` triple always
 /// produces the identical schedule, workload, event log, and metrics.
@@ -627,8 +623,7 @@ pub fn run_nemesis(
     let final_time_us = sys.sim().now().as_micros();
     let events = recorder.events();
     let metrics = recorder.metrics();
-    let report = check(&events);
-    let online = recorder.online_report();
+    let report = recorder.online_report().unwrap_or_default();
     NemesisRun {
         schedule,
         outcomes,
@@ -638,7 +633,6 @@ pub fn run_nemesis(
         events,
         metrics,
         report,
-        online,
     }
 }
 
@@ -658,14 +652,12 @@ pub struct DriftDemo {
     pub events: Vec<Event>,
     /// Counter snapshot.
     pub metrics: MetricsSnapshot,
-    /// Offline ECF verdict — clean in *every* region: end-to-end ECF
-    /// excuses the resurrection as a zombie grant (`v2s` domination keeps
-    /// the data plane safe), which is exactly why the queue-refinement
-    /// layer exists.
-    pub report: EcfReport,
-    /// Streaming verdict; in the unsafe region its queue layer records a
-    /// `re-grant of collected reference` violation.
-    pub online: Option<OnlineReport>,
+    /// The verdict. Its ECF core is clean in *every* region: end-to-end
+    /// ECF excuses the resurrection as a zombie grant (`v2s` domination
+    /// keeps the data plane safe), which is exactly why the queue layer
+    /// exists — in the unsafe region it records a `re-grant of collected
+    /// reference` violation.
+    pub report: OnlineReport,
     /// Final virtual time, in microseconds.
     pub final_time_us: u64,
 }
@@ -799,8 +791,7 @@ pub fn run_drift_unsafe_demo(
         })
         .count() as u64;
     let metrics = recorder.metrics();
-    let report = check(&events);
-    let online = recorder.online_report();
+    let report = recorder.online_report().unwrap_or_default();
     DriftDemo {
         revocations,
         claim_outcomes,
@@ -808,7 +799,6 @@ pub fn run_drift_unsafe_demo(
         events,
         metrics,
         report,
-        online,
         final_time_us,
     }
 }

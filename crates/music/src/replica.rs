@@ -1267,6 +1267,19 @@ where
                 .await?
                 .map(|(r, until)| LeaseGrant { lock_ref: r, until }),
         };
+        // Announce the mint only if the lease can still be claimed: a slow
+        // LWT can return after a competitor broke the expired lease and
+        // enqueued past it, and the trace must not mint that reference
+        // again.
+        if let Some(g) =
+            granted.filter(|g| lease_claimable(self.now(), g.until, self.cfg.clock_epsilon))
+        {
+            self.emit(|| EventKind::LeaseGrant {
+                key: key.to_string(),
+                lock_ref: g.lock_ref.value(),
+                until_us: g.until.as_micros(),
+            });
+        }
         self.stats.record(OpKind::ReleaseLock, self.now() - t0);
         Ok(granted)
     }

@@ -327,3 +327,46 @@ fn lease_holder_is_admission_checked_on_the_slow_path() {
         );
     });
 }
+
+/// A leased release whose LWT returns after the lease's deadline still
+/// mints the row (the grant is returned and counted), but nobody can claim
+/// it any more and a competitor may already have broken it and enqueued
+/// past it: the trace must not announce it as a fresh `leaseGrant`.
+#[test]
+fn a_lease_that_lapsed_before_its_release_returned_is_not_announced() {
+    use music_telemetry::{EventKind, Recorder};
+    // The release LWT takes several WAN round trips: 1 ms has lapsed by
+    // the time it returns, 60 s has not.
+    for (window, announced) in [
+        (SimDuration::from_millis(1), 0),
+        (SimDuration::from_secs(60), 1),
+    ] {
+        let rec = Recorder::tracing();
+        let sys = MusicSystemBuilder::new()
+            .profile(LatencyProfile::one_us())
+            .net_config(quiet())
+            .telemetry(rec.clone())
+            .seed(8)
+            .build();
+        let sim = sys.sim().clone();
+        let sys2 = sys.clone();
+        sim.block_on(async move {
+            let r = sys2.replica(0).clone();
+            let lr = r.create_lock_ref("k").await.unwrap();
+            while r.acquire_lock("k", lr).await.unwrap() != AcquireOutcome::Acquired {}
+            let grant = r
+                .release_lock_leased("k", lr, window)
+                .await
+                .unwrap()
+                .expect("the lease row is minted either way");
+            assert_eq!(sys2.sim().now() >= grant.until, announced == 0);
+        });
+        let mints = rec
+            .events()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::LeaseGrant { .. }))
+            .count();
+        assert_eq!(mints, announced, "window {window}");
+        assert_eq!(rec.metrics().total("lease_grants"), 1, "window {window}");
+    }
+}

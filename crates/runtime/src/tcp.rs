@@ -19,7 +19,8 @@
 //! executor. One frame gets [`WRITE_TIMEOUT`] plus its length at
 //! [`MIN_WRITE_RATE`] in total across its partial writes, and a blocking
 //! write is cut off at whichever comes first: that deadline or
-//! `WRITE_TIMEOUT` of socket timeout. So a small frame gives up within
+//! `WRITE_TIMEOUT` of socket timeout, even when the write moved a few
+//! bytes before its timeout expired. So a small frame gives up within
 //! about a second, and a 64 MiB frame still reaches a live peer over a
 //! link of at least 8 MiB/s. A failed or timed-out write shuts its socket
 //! down. The connection's reader then fails every request still
@@ -126,21 +127,35 @@ fn frame(corr: u64, payload: &[u8]) -> Vec<u8> {
 /// less than that is left of the budget, the socket timeout is lowered to
 /// what is left for the remaining writes, and restored afterwards.
 fn write_frame(stream: &TcpStream, buf: &[u8]) -> std::io::Result<()> {
-    let deadline = Instant::now() + write_budget(buf.len());
+    let mut since = Instant::now();
+    let deadline = since + write_budget(buf.len());
     let mut out = stream;
     let mut rest = buf;
     let mut cut_short = false;
     let result = loop {
-        match out.write(rest) {
+        let n = match out.write(rest) {
             Ok(n) if n == rest.len() => break Ok(()),
             Ok(0) => break Err(ErrorKind::WriteZero.into()),
-            Ok(n) => rest = &rest[n..],
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => 0,
             // Unix reports an expired socket timeout as `WouldBlock`.
             Err(e) if e.kind() == ErrorKind::WouldBlock => break Err(ErrorKind::TimedOut.into()),
             Err(e) => break Err(e),
+        };
+        rest = &rest[n..];
+        // A write whose socket timeout expired after it copied some bytes
+        // returns those rather than `WouldBlock`. If it waited out
+        // `WRITE_TIMEOUT` and moved less than a live peer drains in that
+        // time, that is a timeout too: otherwise a peer that frees a little
+        // space now and then holds the executor about a second per frame.
+        let now = Instant::now();
+        let took = now - std::mem::replace(&mut since, now);
+        if took >= WRITE_TIMEOUT
+            && (n as u128) * 1_000_000 < took.as_micros() * u128::from(MIN_WRITE_RATE)
+        {
+            break Err(ErrorKind::TimedOut.into());
         }
-        let left = deadline.saturating_duration_since(Instant::now());
+        let left = deadline.saturating_duration_since(now);
         if left.is_zero() {
             break Err(ErrorKind::TimedOut.into());
         }

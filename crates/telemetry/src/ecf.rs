@@ -1,6 +1,9 @@
-//! Trace-based checker of the ECF properties (§IV of the paper).
+//! The ECF properties (§IV of the paper) as per-key transitions.
 //!
-//! Replays a recorded event log and verifies, per key:
+//! [`EcfKey`] holds one key's state and [`EcfKey::apply`] is its
+//! transition function. The streaming checker ([`crate::online`]) embeds
+//! one per live key; [`check`] replays a recorded event log through it.
+//! Per key, the rules are:
 //!
 //! * **Exclusivity** — lock grants never overlap: between a
 //!   `lockGrant(r)` and the matching `lockRelease`/`lockForcedRelease`,
@@ -44,7 +47,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::event::{Event, EventKind};
 
-/// Outcome of replaying one event log through the checker.
+/// The ECF verdict: the core of every [`crate::OnlineReport`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EcfReport {
     /// Violations found (empty iff `ok`).
@@ -120,8 +123,9 @@ impl std::fmt::Display for EcfReport {
     }
 }
 
+/// One key's ECF state.
 #[derive(Debug, Default)]
-struct KeyState {
+pub(crate) struct EcfKey {
     /// Reference currently holding the lock, if any.
     holder: Option<u64>,
     /// Digest of the authoritative ("true") value once one is known.
@@ -146,36 +150,27 @@ struct KeyState {
     deposed: BTreeSet<u64>,
 }
 
-/// Replays `events` (in slice order, which must be seq order) and checks
-/// the ECF properties. See the module docs for the exact rules.
-pub fn check(events: &[Event]) -> EcfReport {
-    let mut report = EcfReport::default();
-    let mut keys: BTreeMap<&str, KeyState> = BTreeMap::new();
-    let mut last_seq: Option<u64> = None;
+impl EcfKey {
+    /// Whether nobody holds the lock and no put is in flight.
+    pub(crate) fn idle(&self) -> bool {
+        self.holder.is_none() && self.in_flight.values().all(Vec::is_empty)
+    }
 
-    for e in events {
-        if let Some(prev) = last_seq {
-            if e.seq <= prev {
-                report
-                    .violations
-                    .push(format!("seq order broken: {} after {prev}", e.seq));
-            }
-        }
-        last_seq = Some(e.seq);
-
+    /// Applies `e`, an event on `key`, accumulating into `report`. Events
+    /// that carry no ECF meaning are ignored.
+    pub(crate) fn apply(&mut self, report: &mut EcfReport, key: &str, e: &Event) {
         match &e.kind {
-            EventKind::LockGrant { key, lock_ref } => {
-                let st = keys.entry(key).or_default();
+            EventKind::LockGrant { lock_ref, .. } => {
                 // A grant announced after the reference's forced release is
                 // the zombie-grant race: void, not a reinstatement.
-                if st.deposed.contains(lock_ref) {
+                if self.deposed.contains(lock_ref) {
                     report.zombie_grants += 1;
-                    continue;
+                    return;
                 }
                 report.grants += 1;
                 // Re-granting the reference that already holds the lock is
                 // a duplicate winning poll, not an overlap.
-                if let Some(holder) = st.holder {
+                if let Some(holder) = self.holder {
                     if holder != *lock_ref {
                         report.violations.push(format!(
                             "exclusivity: grant of {lock_ref} on {key:?} at seq {} \
@@ -184,125 +179,116 @@ pub fn check(events: &[Event]) -> EcfReport {
                         ));
                     }
                 }
-                st.holder = Some(*lock_ref);
+                self.holder = Some(*lock_ref);
             }
-            EventKind::LockRelease { key, lock_ref }
-            | EventKind::LockForcedRelease { key, lock_ref } => {
-                let forced = matches!(e.kind, EventKind::LockForcedRelease { .. });
-                let st = keys.entry(key).or_default();
-                if forced {
+            EventKind::LockRelease { lock_ref, .. }
+            | EventKind::LockForcedRelease { lock_ref, .. } => {
+                if matches!(e.kind, EventKind::LockForcedRelease { .. }) {
                     report.forced_releases += 1;
-                    st.deposed.insert(*lock_ref);
+                    self.deposed.insert(*lock_ref);
                 }
-                if st.holder == Some(*lock_ref) {
-                    st.holder = None;
+                if self.holder == Some(*lock_ref) {
+                    self.holder = None;
                 }
                 // Whatever this reference still had in flight may have
                 // landed (and may be pinned by the next grant's
                 // resynchronization): keep those digests acceptable.
-                if let Some(pending) = st.in_flight.remove(lock_ref) {
-                    st.acceptable.extend(pending.into_iter().map(|(_, d)| d));
+                if let Some(pending) = self.in_flight.remove(lock_ref) {
+                    self.acceptable.extend(pending.into_iter().map(|(_, d)| d));
                 }
             }
             EventKind::CritPutStart {
-                key,
-                lock_ref,
-                digest,
+                lock_ref, digest, ..
             } => {
-                let st = keys.entry(key).or_default();
-                let order = st.next_order;
-                st.next_order += 1;
-                st.in_flight
+                let order = self.next_order;
+                self.next_order += 1;
+                self.in_flight
                     .entry(*lock_ref)
                     .or_default()
                     .push((order, *digest));
             }
             EventKind::CritPutAck {
-                key,
-                lock_ref,
-                digest,
+                lock_ref, digest, ..
             } => {
-                let st = keys.entry(key).or_default();
                 // Match the ack to its start; an ack without a recorded
                 // start (degenerate traces) counts as the newest issue.
-                let order = {
-                    let fl = st.in_flight.entry(*lock_ref).or_default();
-                    match fl.iter().position(|&(_, d)| d == *digest) {
-                        Some(i) => fl.remove(i).0,
-                        None => {
-                            let o = st.next_order;
-                            st.next_order += 1;
-                            o
-                        }
+                let fl = self.in_flight.entry(*lock_ref).or_default();
+                let order = match fl.iter().position(|&(_, d)| d == *digest) {
+                    Some(i) => fl.remove(i).0,
+                    None => {
+                        self.next_order += 1;
+                        self.next_order - 1
                     }
                 };
-                if st.holder == Some(*lock_ref) {
+                if self.holder == Some(*lock_ref) {
                     report.put_acks += 1;
                     // Acknowledged by the current holder: the new true
                     // value — unless a *later-issued* (higher-stamped) put
                     // already acked, in which case this late ack is
                     // dominated under last-write-wins and changes nothing.
-                    if st.true_order.is_none_or(|pinned| order >= pinned) {
-                        st.true_value = Some(Some(*digest));
-                        st.true_order = Some(order);
-                        st.acceptable.clear();
+                    if self.true_order.is_none_or(|pinned| order >= pinned) {
+                        self.true_value = Some(Some(*digest));
+                        self.true_order = Some(order);
+                        self.acceptable.clear();
                     }
                 } else {
                     // Ack from a preempted holder: dominated, not the
                     // true value — but a grant-time resynchronization may
                     // still pin it, so it stays acceptable.
                     report.stale_put_acks += 1;
-                    st.acceptable.insert(*digest);
+                    self.acceptable.insert(*digest);
                 }
             }
             EventKind::CritGet {
-                key,
-                lock_ref,
-                digest,
+                lock_ref, digest, ..
             } => {
-                let st = keys.entry(key).or_default();
-                if st.holder != Some(*lock_ref) {
+                if self.holder != Some(*lock_ref) {
                     // A deposed reference's read that completed after its
                     // forced release: transiently allowed, value unchecked.
-                    if st.deposed.contains(lock_ref) {
+                    if self.deposed.contains(lock_ref) {
                         report.stale_reads += 1;
-                        continue;
+                    } else {
+                        report.violations.push(format!(
+                            "exclusivity: critical read on {key:?} at seq {} by {lock_ref}, \
+                             which does not hold the lock (holder: {:?})",
+                            e.seq, self.holder
+                        ));
                     }
-                    report.violations.push(format!(
-                        "exclusivity: critical read on {key:?} at seq {} by {lock_ref}, \
-                         which does not hold the lock (holder: {:?})",
-                        e.seq, st.holder
-                    ));
-                    continue;
+                    return;
                 }
                 report.reads_checked += 1;
                 let observed = *digest;
-                let acceptable = match st.true_value {
+                let acceptable = match self.true_value {
                     None => true, // nothing pinned yet: first observation
                     Some(t) => {
-                        observed == t || observed.is_some_and(|d| st.acceptable.contains(&d))
+                        observed == t || observed.is_some_and(|d| self.acceptable.contains(&d))
                     }
                 };
                 if acceptable {
                     // The holder's read fixes the true value (Latest-State:
                     // what it saw is what subsequent holders must build on).
-                    st.true_value = Some(observed);
-                    st.true_order = None;
-                    st.acceptable.clear();
+                    self.true_value = Some(observed);
+                    self.true_order = None;
+                    self.acceptable.clear();
                 } else {
                     report.violations.push(format!(
                         "latest-state: critical read on {key:?} at seq {} returned \
                          {observed:016x?}, expected {:016x?} (or one of {} pending)",
                         e.seq,
-                        st.true_value.unwrap(),
-                        st.acceptable.len()
+                        self.true_value.unwrap(),
+                        self.acceptable.len()
                     ));
                 }
             }
             _ => {}
         }
     }
-    report
+}
+
+/// Replays `events` (in slice order, which must be seq order) and checks
+/// the ECF properties: the ECF core of [`crate::online::check_online`].
+pub fn check(events: &[Event]) -> EcfReport {
+    crate::online::check_online(events).ecf
 }
 
 #[cfg(test)]

@@ -14,13 +14,12 @@
 //!   becomes a tree of timed phase spans (enqueue LWT → head-wait →
 //!   headship confirm → data ops → flush → release), with a
 //!   well-formedness checker and a Chrome-trace-event export;
-//! * a trace-based **ECF checker** ([`ecf::check`]) that replays a
-//!   recorded event log and verifies the paper's Exclusivity and
-//!   Latest-State properties (§IV);
-//! * a streaming **online checker** ([`online`]) — the same ECF
-//!   predicates evaluated incrementally in O(live keys) memory, plus a
-//!   lock-queue refinement layer, attachable to any recorder so the run
-//!   is checked *while it executes*;
+//! * one **checker** ([`OnlineChecker`]): the paper's Exclusivity and
+//!   Latest-State properties (§IV, per-key rules in [`ecf`]) plus a
+//!   lock-queue refinement layer ([`online`]), evaluated incrementally in
+//!   O(live keys) memory. Attached to a recorder it checks the run *while
+//!   it executes*; [`check_online`] replays a stored log through it, and
+//!   [`check`] keeps only the ECF core of that replay;
 //! * JSON-lines serialization of events and metric snapshots (hand
 //!   rolled — no external JSON dependency), byte-stable across runs with
 //!   the same seed.

@@ -1,25 +1,23 @@
-//! Online (streaming) checker of the ECF properties plus a
-//! replication-aware **lock-queue refinement** check.
+//! The checker: the ECF properties plus a replication-aware
+//! **lock-queue refinement** check, streamed.
 //!
-//! Where [`crate::ecf::check`] replays a complete event log after the run
-//! (O(events) memory — fine at 10^4 ops, impossible at million-user
-//! scale and unusable against a live socket cluster), this module
-//! consumes events **incrementally**, one at a time, holding only
-//! per-key state machines for the keys that are currently *live*:
+//! [`OnlineChecker`] consumes events **incrementally**, one at a time,
+//! holding only per-key state for the keys that are currently *live*, so
+//! it rides a recorder through a run of any length — or a live socket
+//! cluster — in O(live keys) memory. A stored log is replayed through the
+//! same checker ([`check_online`]; [`crate::ecf::check`] keeps its ECF
+//! core). Per key it checks two layers:
 //!
-//! * the same Exclusivity / Latest-State predicates as the offline
-//!   checker — with an unbounded window the two produce **identical**
-//!   [`EcfReport`]s over the same event stream (the differential test
-//!   lane asserts this across every corpus);
+//! * the Exclusivity / Latest-State rules of [`crate::ecf`];
 //! * a **queue refinement** layer, in the spirit of replication-aware
 //!   linearizability: every `lockEnqueue` / `lockGrant` / `lockRelease` /
 //!   `lockForcedRelease` / `leaseGrant` / `leaseBreak` is validated
 //!   against an abstract FIFO-with-preemption queue. This catches
 //!   *internal* lockstore anomalies that the end-to-end ECF predicate
 //!   can mask through later synchronization: an out-of-order grant, a
-//!   re-grant of a reference already collected by a `forcedRelease` (the
-//!   offline checker excuses it as a zombie), or a grant of a reference
-//!   that was never minted at all.
+//!   re-grant of a reference already collected by a `forcedRelease` (ECF
+//!   excuses it as a zombie), or a grant of a reference that was never
+//!   minted at all.
 //!
 //! ## Window semantics & the memory bound
 //!
@@ -31,8 +29,7 @@
 //! soundness/memory trade — a latest-state violation spanning more than a
 //! window of total silence on a key is missed — and it buys O(live keys)
 //! memory instead of O(distinct keys). With the default unbounded window
-//! nothing is ever retired and the verdict matches the offline checker
-//! exactly.
+//! nothing is ever retired.
 //!
 //! ## Sampling
 //!
@@ -42,9 +39,9 @@
 //! nothing. This is how `music-load` keeps live coverage over a real
 //! socket cluster without tracing every key.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use crate::ecf::EcfReport;
+use crate::ecf::{EcfKey, EcfReport};
 use crate::event::{Event, EventKind};
 
 /// How many closed (released / collected) references per key are kept
@@ -60,8 +57,7 @@ const SWEEP_INTERVAL: u64 = 1024;
 #[derive(Clone, Copy, Debug)]
 pub struct OnlineConfig {
     /// Idle time (virtual µs) after which a quiescent key's state is
-    /// retired. `u64::MAX` (the default) never retires, making the ECF
-    /// verdict exactly equal to the offline checker's.
+    /// retired. `u64::MAX` (the default) never retires.
     pub window_us: u64,
     /// Check only keys whose FNV digest is divisible by this. `1` (the
     /// default) checks every key.
@@ -78,8 +74,8 @@ impl Default for OnlineConfig {
 }
 
 impl OnlineConfig {
-    /// Unbounded window, every key checked: verdict-equivalent to
-    /// [`crate::ecf::check`] over the same stream.
+    /// Unbounded window, every key checked: what [`check_online`] replays
+    /// a stored log with.
     pub fn unbounded() -> Self {
         Self::default()
     }
@@ -103,8 +99,7 @@ impl OnlineConfig {
 /// Verdict snapshot of an [`OnlineChecker`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct OnlineReport {
-    /// The ECF core — same fields and violation messages as the offline
-    /// checker; equal to it bit-for-bit under an unbounded window.
+    /// The ECF core (see [`crate::ecf`]).
     pub ecf: EcfReport,
     /// Lock-queue events validated against the abstract queue model.
     pub queue_checked: u64,
@@ -185,19 +180,11 @@ struct RefState {
     deposed: bool,
 }
 
-/// Per-key streaming state: the ECF machine (a faithful port of the
-/// offline checker's `KeyState`) plus the abstract queue.
+/// Per-key streaming state: the ECF state plus the abstract queue.
 #[derive(Debug, Default)]
 struct KeyState {
-    // --- ECF core (identical semantics to `ecf::check`) ---
-    holder: Option<u64>,
-    true_value: Option<Option<u64>>,
-    true_order: Option<u64>,
-    acceptable: BTreeSet<u64>,
-    in_flight: BTreeMap<u64, Vec<(u64, u64)>>,
-    next_order: u64,
-    deposed: BTreeSet<u64>,
-    // --- queue refinement ---
+    /// Exclusivity / Latest-State (see [`crate::ecf`]).
+    ecf: EcfKey,
     /// Open references: minted, neither released nor collected yet.
     open: BTreeMap<u64, RefState>,
     /// Recently closed references (bounded; see [`CLOSED_REFS_KEPT`]).
@@ -215,7 +202,7 @@ impl KeyState {
     /// nothing in flight, no open reference (a held lock, an unclaimed
     /// lease, and a queued waiter all keep the key live).
     fn quiescent(&self) -> bool {
-        self.holder.is_none() && self.open.is_empty() && self.in_flight.values().all(Vec::is_empty)
+        self.ecf.idle() && self.open.is_empty()
     }
 
     fn ref_mut(&mut self, r: u64) -> Option<&mut RefState> {
@@ -236,6 +223,93 @@ impl KeyState {
             }
         }
     }
+
+    /// Queue-refinement validation of one `lockGrant`.
+    fn check_grant(&mut self, rep: &mut OnlineReport, key: &str, r: u64, seq: u64) {
+        let max_granted = self.max_granted;
+        let Some(rs) = self.ref_mut(r) else {
+            if r <= self.evicted_floor {
+                rep.untracked_ref_events += 1;
+            } else {
+                rep.queue_violations.push(format!(
+                    "queue: grant of never-enqueued reference {r} on {key:?} at seq {seq}"
+                ));
+            }
+            return;
+        };
+        if rs.deposed {
+            if rs.granted {
+                // ECF excuses this as a zombie; the queue model knows the
+                // reference was already granted once and then collected —
+                // a second grant is a resurrection.
+                rep.queue_violations.push(format!(
+                    "queue: re-grant of collected reference {r} on {key:?} at seq {seq}"
+                ));
+            } else {
+                // First announcement after the deposal: the legitimate
+                // zombie-grant race (acquire round in flight when the
+                // forced release landed). Void, benign.
+                rs.granted = true;
+            }
+            return;
+        }
+        if rs.released {
+            rep.queue_violations.push(format!(
+                "queue: grant of cleanly released reference {r} on {key:?} at seq {seq}"
+            ));
+            return;
+        }
+        if rs.granted {
+            return; // duplicate winning poll: benign re-grant
+        }
+        rs.granted = true;
+        rs.leased = false;
+        if r < max_granted {
+            rep.queue_violations.push(format!(
+                "queue: out-of-order grant of {r} on {key:?} at seq {seq} \
+                 (a later reference {max_granted} was already granted)"
+            ));
+        }
+        self.max_granted = self.max_granted.max(r);
+    }
+
+    /// Queue-refinement validation of one `lockRelease`/`lockForcedRelease`.
+    fn check_close(&mut self, rep: &mut OnlineReport, key: &str, r: u64, forced: bool, seq: u64) {
+        match self.ref_mut(r) {
+            None => {
+                if forced {
+                    // Orphan collection: the mint's LWT committed but its
+                    // coordinator never learned it, so no enqueue event
+                    // exists. The watchdog collecting it is expected.
+                    rep.orphan_collections += 1;
+                    self.open.entry(r).or_default().deposed = true;
+                    self.close_ref(r);
+                } else if r <= self.evicted_floor {
+                    rep.untracked_ref_events += 1;
+                } else {
+                    rep.queue_violations.push(format!(
+                        "queue: release of never-enqueued reference {r} on {key:?} at seq {seq}"
+                    ));
+                }
+            }
+            Some(rs) => {
+                if forced {
+                    rs.deposed = true;
+                } else {
+                    // A clean release must come from a holder (or be the
+                    // voluntary relinquish of an unclaimed lease, or a
+                    // retried duplicate of either).
+                    if !rs.granted && !rs.leased && !rs.released && !rs.deposed {
+                        rep.queue_violations.push(format!(
+                            "queue: release of never-granted reference {r} on {key:?} at seq {seq}"
+                        ));
+                    }
+                    rs.released = true;
+                }
+                self.close_ref(r);
+            }
+        }
+    }
 }
 
 /// The streaming checker. Feed events in sequence order via
@@ -244,15 +318,8 @@ impl KeyState {
 #[derive(Debug, Default)]
 pub struct OnlineChecker {
     cfg: OnlineConfig,
-    ecf: EcfReport,
-    queue_checked: u64,
-    queue_violations: Vec<String>,
-    orphan_collections: u64,
-    untracked_ref_events: u64,
-    events_seen: u64,
-    sampled_out: u64,
-    keys_retired: u64,
-    peak_live: u64,
+    /// The verdict so far; `keys_live` is filled in by [`Self::report`].
+    report: OnlineReport,
     keys: BTreeMap<String, KeyState>,
     last_seq: Option<u64>,
     now_us: u64,
@@ -276,27 +343,20 @@ impl OnlineChecker {
     /// Snapshot of the verdict so far.
     pub fn report(&self) -> OnlineReport {
         OnlineReport {
-            ecf: self.ecf.clone(),
-            queue_checked: self.queue_checked,
-            queue_violations: self.queue_violations.clone(),
-            orphan_collections: self.orphan_collections,
-            untracked_ref_events: self.untracked_ref_events,
-            events_seen: self.events_seen,
-            sampled_out: self.sampled_out,
             keys_live: self.keys.len() as u64,
-            peak_live_keys: self.peak_live,
-            keys_retired: self.keys_retired,
+            ..self.report.clone()
         }
     }
 
     /// Consumes one event. Events must arrive in assigned sequence order
     /// (the recorder guarantees this; a replayed log is already sorted).
     pub fn push(&mut self, e: &Event) {
-        self.events_seen += 1;
+        self.report.events_seen += 1;
         self.now_us = self.now_us.max(e.at_us);
         if let Some(prev) = self.last_seq {
             if e.seq <= prev {
-                self.ecf
+                self.report
+                    .ecf
                     .violations
                     .push(format!("seq order broken: {} after {prev}", e.seq));
             }
@@ -307,13 +367,14 @@ impl OnlineChecker {
             if self.cfg.sample_every > 1
                 && !crate::digest(key.as_bytes()).is_multiple_of(self.cfg.sample_every)
             {
-                self.sampled_out += 1;
+                self.report.sampled_out += 1;
             } else {
-                self.consume(key.to_string(), e);
+                self.consume(key, e);
             }
         }
 
-        if self.cfg.window_us != u64::MAX && self.events_seen.is_multiple_of(SWEEP_INTERVAL) {
+        if self.cfg.window_us != u64::MAX && self.report.events_seen.is_multiple_of(SWEEP_INTERVAL)
+        {
             self.sweep();
         }
     }
@@ -330,42 +391,44 @@ impl OnlineChecker {
             }
             !retire
         });
-        self.keys_retired += retired;
+        self.report.keys_retired += retired;
     }
 
-    fn consume(&mut self, key: String, e: &Event) {
-        let st = self.keys.entry(key).or_default();
-        st.last_at_us = st.last_at_us.max(e.at_us);
-        let live = self.keys.len() as u64;
-        self.peak_live = self.peak_live.max(live);
-        // Re-borrow (entry above consumed the key string).
-        let Some(key) = event_key(&e.kind) else {
-            return;
+    /// Applies one event to `key`'s state, allocating that state (and its
+    /// key string) only when the key is first seen.
+    fn consume(&mut self, key: &str, e: &Event) {
+        let st = match self.keys.get_mut(key) {
+            Some(st) => st,
+            None => {
+                let live = self.keys.len() as u64 + 1;
+                self.report.peak_live_keys = self.report.peak_live_keys.max(live);
+                self.keys.entry(key.to_owned()).or_default()
+            }
         };
-        let key = key.to_string();
-        let st = self.keys.get_mut(&key).expect("key state just inserted");
-
+        st.last_at_us = st.last_at_us.max(e.at_us);
+        let rep = &mut self.report;
         match &e.kind {
             EventKind::LockEnqueue { lock_ref, .. } => {
-                self.queue_checked += 1;
-                let rs = st.open.entry(*lock_ref).or_default();
-                rs.enqueued = true;
+                rep.queue_checked += 1;
+                st.open.entry(*lock_ref).or_default().enqueued = true;
             }
             EventKind::LeaseGrant { lock_ref, .. } => {
-                self.queue_checked += 1;
+                rep.queue_checked += 1;
                 match st.ref_mut(*lock_ref) {
                     // A retried release LWT can adopt and re-announce the
-                    // same lease row; only re-minting a reference that
-                    // already progressed past "unclaimed lease" is an
-                    // anomaly.
-                    Some(rs) if rs.granted || rs.released || rs.deposed => {
-                        self.queue_violations.push(format!(
+                    // same lease row, and a competitor can break a lease
+                    // (seen here as an orphan collection) before the LWT
+                    // that minted it returns to announce it. Only
+                    // re-minting a reference that already progressed past
+                    // "unclaimed lease" is an anomaly.
+                    Some(rs) if rs.granted || rs.released || (rs.deposed && rs.enqueued) => {
+                        rep.queue_violations.push(format!(
                             "queue: lease mint of existing reference {lock_ref} on {key:?} \
                              at seq {}",
                             e.seq
                         ));
                     }
-                    Some(_) => {}
+                    Some(rs) => rs.enqueued = true,
                     None => {
                         let rs = st.open.entry(*lock_ref).or_default();
                         rs.enqueued = true;
@@ -381,208 +444,18 @@ impl OnlineChecker {
                 }
             }
             EventKind::LockGrant { lock_ref, .. } => {
-                self.queue_checked += 1;
-                self.check_grant(&key, *lock_ref, e.seq);
-                // ECF core (identical to the offline checker).
-                let st = self.keys.get_mut(&key).expect("key state exists");
-                if st.deposed.contains(lock_ref) {
-                    self.ecf.zombie_grants += 1;
-                    return;
-                }
-                self.ecf.grants += 1;
-                if let Some(holder) = st.holder {
-                    if holder != *lock_ref {
-                        self.ecf.violations.push(format!(
-                            "exclusivity: grant of {lock_ref} on {key:?} at seq {} \
-                             while {holder} still holds the lock",
-                            e.seq
-                        ));
-                    }
-                }
-                st.holder = Some(*lock_ref);
+                rep.queue_checked += 1;
+                st.check_grant(rep, key, *lock_ref, e.seq);
             }
             EventKind::LockRelease { lock_ref, .. }
             | EventKind::LockForcedRelease { lock_ref, .. } => {
+                rep.queue_checked += 1;
                 let forced = matches!(e.kind, EventKind::LockForcedRelease { .. });
-                self.queue_checked += 1;
-                self.check_close(&key, *lock_ref, forced, e.seq);
-                let st = self.keys.get_mut(&key).expect("key state exists");
-                if forced {
-                    self.ecf.forced_releases += 1;
-                    st.deposed.insert(*lock_ref);
-                }
-                if st.holder == Some(*lock_ref) {
-                    st.holder = None;
-                }
-                if let Some(pending) = st.in_flight.remove(lock_ref) {
-                    st.acceptable.extend(pending.into_iter().map(|(_, d)| d));
-                }
-            }
-            EventKind::CritPutStart {
-                lock_ref, digest, ..
-            } => {
-                let order = st.next_order;
-                st.next_order += 1;
-                st.in_flight
-                    .entry(*lock_ref)
-                    .or_default()
-                    .push((order, *digest));
-            }
-            EventKind::CritPutAck {
-                lock_ref, digest, ..
-            } => {
-                let order = {
-                    let fl = st.in_flight.entry(*lock_ref).or_default();
-                    match fl.iter().position(|&(_, d)| d == *digest) {
-                        Some(i) => fl.remove(i).0,
-                        None => {
-                            let o = st.next_order;
-                            st.next_order += 1;
-                            o
-                        }
-                    }
-                };
-                if st.holder == Some(*lock_ref) {
-                    self.ecf.put_acks += 1;
-                    if st.true_order.is_none_or(|pinned| order >= pinned) {
-                        st.true_value = Some(Some(*digest));
-                        st.true_order = Some(order);
-                        st.acceptable.clear();
-                    }
-                } else {
-                    self.ecf.stale_put_acks += 1;
-                    st.acceptable.insert(*digest);
-                }
-            }
-            EventKind::CritGet {
-                lock_ref, digest, ..
-            } => {
-                if st.holder != Some(*lock_ref) {
-                    if st.deposed.contains(lock_ref) {
-                        self.ecf.stale_reads += 1;
-                        return;
-                    }
-                    self.ecf.violations.push(format!(
-                        "exclusivity: critical read on {key:?} at seq {} by {lock_ref}, \
-                         which does not hold the lock (holder: {:?})",
-                        e.seq, st.holder
-                    ));
-                    return;
-                }
-                self.ecf.reads_checked += 1;
-                let observed = *digest;
-                let acceptable = match st.true_value {
-                    None => true,
-                    Some(t) => {
-                        observed == t || observed.is_some_and(|d| st.acceptable.contains(&d))
-                    }
-                };
-                if acceptable {
-                    st.true_value = Some(observed);
-                    st.true_order = None;
-                    st.acceptable.clear();
-                } else {
-                    self.ecf.violations.push(format!(
-                        "latest-state: critical read on {key:?} at seq {} returned \
-                         {observed:016x?}, expected {:016x?} (or one of {} pending)",
-                        e.seq,
-                        st.true_value.unwrap(),
-                        st.acceptable.len()
-                    ));
-                }
+                st.check_close(rep, key, *lock_ref, forced, e.seq);
             }
             _ => {}
         }
-    }
-
-    /// Queue-refinement validation of one `lockGrant`.
-    fn check_grant(&mut self, key: &str, r: u64, seq: u64) {
-        let st = self.keys.get_mut(key).expect("key state exists");
-        let max_granted = st.max_granted;
-        let Some(rs) = st.ref_mut(r) else {
-            if r <= st.evicted_floor {
-                self.untracked_ref_events += 1;
-            } else {
-                self.queue_violations.push(format!(
-                    "queue: grant of never-enqueued reference {r} on {key:?} at seq {seq}"
-                ));
-            }
-            return;
-        };
-        if rs.deposed {
-            if rs.granted {
-                // The offline checker excuses this as a zombie; the queue
-                // model knows the reference was already granted once and
-                // then collected — a second grant is a resurrection.
-                self.queue_violations.push(format!(
-                    "queue: re-grant of collected reference {r} on {key:?} at seq {seq}"
-                ));
-            } else {
-                // First announcement after the deposal: the legitimate
-                // zombie-grant race (acquire round in flight when the
-                // forced release landed). Void, benign.
-                rs.granted = true;
-            }
-            return;
-        }
-        if rs.released {
-            self.queue_violations.push(format!(
-                "queue: grant of cleanly released reference {r} on {key:?} at seq {seq}"
-            ));
-            return;
-        }
-        if rs.granted {
-            return; // duplicate winning poll: benign re-grant
-        }
-        rs.granted = true;
-        rs.leased = false;
-        if r < max_granted {
-            self.queue_violations.push(format!(
-                "queue: out-of-order grant of {r} on {key:?} at seq {seq} \
-                 (a later reference {max_granted} was already granted)"
-            ));
-        }
-        st.max_granted = st.max_granted.max(r);
-    }
-
-    /// Queue-refinement validation of one `lockRelease`/`lockForcedRelease`.
-    fn check_close(&mut self, key: &str, r: u64, forced: bool, seq: u64) {
-        let st = self.keys.get_mut(key).expect("key state exists");
-        match st.ref_mut(r) {
-            None => {
-                if forced {
-                    // Orphan collection: the mint's LWT committed but its
-                    // coordinator never learned it, so no enqueue event
-                    // exists. The watchdog collecting it is expected.
-                    self.orphan_collections += 1;
-                    let rs = st.open.entry(r).or_default();
-                    rs.deposed = true;
-                    st.close_ref(r);
-                } else if r <= st.evicted_floor {
-                    self.untracked_ref_events += 1;
-                } else {
-                    self.queue_violations.push(format!(
-                        "queue: release of never-enqueued reference {r} on {key:?} at seq {seq}"
-                    ));
-                }
-            }
-            Some(rs) => {
-                if forced {
-                    rs.deposed = true;
-                } else {
-                    // A clean release must come from a holder (or be the
-                    // voluntary relinquish of an unclaimed lease, or a
-                    // retried duplicate of either).
-                    if !rs.granted && !rs.leased && !rs.released && !rs.deposed {
-                        self.queue_violations.push(format!(
-                            "queue: release of never-granted reference {r} on {key:?} at seq {seq}"
-                        ));
-                    }
-                    rs.released = true;
-                }
-                st.close_ref(r);
-            }
-        }
+        st.ecf.apply(&mut rep.ecf, key, e);
     }
 }
 
@@ -604,8 +477,7 @@ fn event_key(kind: &EventKind) -> Option<&str> {
     }
 }
 
-/// Replays a full event log through a fresh unbounded [`OnlineChecker`] —
-/// the streaming twin of [`crate::ecf::check`].
+/// Replays a full event log through a fresh unbounded [`OnlineChecker`].
 pub fn check_online(events: &[Event]) -> OnlineReport {
     let mut c = OnlineChecker::new(OnlineConfig::unbounded());
     for e in events {
@@ -714,99 +586,7 @@ mod tests {
         section(&mut events, "k", seq, 2);
         let r = check_online(&events);
         assert!(r.ok(), "{:?} {:?}", r.ecf.violations, r.queue_violations);
-        assert_eq!(r.ecf, crate::ecf::check(&events));
         assert_eq!(r.queue_checked, 6); // enqueue+grant+release per section
-    }
-
-    #[test]
-    fn matches_offline_on_every_ecf_fixture() {
-        // Every trace shape the offline checker's own unit tests cover:
-        // handoffs, overlaps, zombies, stale reads/acks, pipelining.
-        let put_start = |seq, r, d| {
-            ev(
-                seq,
-                EventKind::CritPutStart {
-                    key: "k".into(),
-                    lock_ref: r,
-                    digest: d,
-                },
-            )
-        };
-        let put_ack = |seq, r, d| {
-            ev(
-                seq,
-                EventKind::CritPutAck {
-                    key: "k".into(),
-                    lock_ref: r,
-                    digest: d,
-                },
-            )
-        };
-        let traces: Vec<Vec<Event>> = vec![
-            vec![grant(0, 1), grant(1, 2)],
-            vec![grant(0, 1), grant(1, 1), release(2, 1)],
-            vec![
-                grant(0, 1),
-                get(1, 1, None),
-                put_ack(2, 1, 0xa),
-                release(3, 1),
-                grant(4, 2),
-                get(5, 2, None),
-            ],
-            vec![grant(0, 1), get(1, 2, None)],
-            vec![
-                grant(0, 1),
-                forced(1, 1),
-                put_ack(2, 1, 0xd),
-                grant(3, 2),
-                get(4, 2, Some(0xd)),
-            ],
-            vec![grant(5, 1), release(3, 1)],
-            vec![
-                grant(0, 1),
-                forced(1, 1),
-                grant(2, 1),
-                grant(3, 2),
-                release(4, 2),
-            ],
-            vec![grant(0, 1), forced(1, 1), grant(2, 2), grant(3, 3)],
-            vec![
-                grant(0, 1),
-                put_ack(1, 1, 0xa),
-                forced(2, 1),
-                get(3, 1, Some(0xa)),
-                grant(4, 2),
-                get(5, 2, Some(0xa)),
-            ],
-            vec![grant(0, 1), release(1, 1), get(2, 1, None)],
-            vec![
-                grant(0, 1),
-                put_start(1, 1, 0xa),
-                put_start(2, 1, 0xb),
-                put_ack(3, 1, 0xb),
-                put_ack(4, 1, 0xa),
-                get(5, 1, Some(0xb)),
-                release(6, 1),
-                grant(7, 2),
-                get(8, 2, Some(0xb)),
-            ],
-            vec![
-                grant(0, 1),
-                put_ack(1, 1, 0xa),
-                put_start(2, 1, 0xb),
-                put_start(3, 1, 0xc),
-                forced(4, 1),
-                grant(5, 2),
-                get(6, 2, Some(0xc)),
-            ],
-        ];
-        for (i, t) in traces.iter().enumerate() {
-            assert_eq!(
-                check_online(t).ecf,
-                crate::ecf::check(t),
-                "trace #{i} diverged"
-            );
-        }
     }
 
     #[test]
@@ -825,7 +605,6 @@ mod tests {
             grant(7, 2),
             release(8, 2),
         ];
-        assert!(crate::ecf::check(&trace).ok());
         let r = check_online(&trace);
         assert!(r.ecf.ok());
         assert!(!r.ok());
@@ -839,9 +618,9 @@ mod tests {
     #[test]
     fn regrant_after_forced_release_is_a_queue_violation_ecf_passes() {
         // Reference 1 was granted, collected by the failure detector,
-        // then granted AGAIN: the offline checker excuses the second
-        // grant as a zombie, but the queue model knows 1 already held —
-        // a tombstoned row was resurrected.
+        // then granted AGAIN: ECF excuses the second grant as a zombie,
+        // but the queue model knows 1 already held — a tombstoned row was
+        // resurrected.
         let trace = [
             enqueue(0, 1),
             grant(1, 1),
@@ -851,11 +630,9 @@ mod tests {
             release(5, 2),
             grant(6, 1),
         ];
-        let off = crate::ecf::check(&trace);
-        assert!(off.ok(), "{:?}", off.violations);
-        assert_eq!(off.zombie_grants, 1);
         let r = check_online(&trace);
-        assert!(r.ecf.ok());
+        assert!(r.ecf.ok(), "{:?}", r.ecf.violations);
+        assert_eq!(r.ecf.zombie_grants, 1);
         assert!(!r.ok());
         assert!(
             r.queue_violations[0].contains("re-grant of collected reference 1"),
@@ -870,8 +647,8 @@ mod tests {
         let seq = section(&mut trace, "k", 0, 1);
         let seq = section(&mut trace, "k", seq, 2);
         trace.push(grant(seq, 1)); // resurrect the released ref
-        assert!(crate::ecf::check(&trace).ok());
         let r = check_online(&trace);
+        assert!(r.ecf.ok());
         assert!(!r.ok());
         assert!(
             r.queue_violations[0].contains("grant of cleanly released reference 1"),
@@ -883,8 +660,8 @@ mod tests {
     #[test]
     fn grant_of_unminted_reference_is_a_queue_violation() {
         let trace = [enqueue(0, 1), grant(1, 1), release(2, 1), grant(3, 7)];
-        assert!(crate::ecf::check(&trace).ok());
         let r = check_online(&trace);
+        assert!(r.ecf.ok());
         assert!(!r.ok());
         assert!(
             r.queue_violations[0].contains("never-enqueued reference 7"),
@@ -928,7 +705,8 @@ mod tests {
         };
         // Mint → claim → clean release: fine. Duplicate mint of the
         // unclaimed lease (retried release LWT): fine. Relinquish of an
-        // unclaimed lease (release without grant): fine.
+        // unclaimed lease (release without grant): fine. A competitor's
+        // break recorded before the minting LWT returned: fine.
         let trace = [
             enqueue(0, 1),
             grant(1, 1),
@@ -939,25 +717,31 @@ mod tests {
             release(6, 2),
             lease(7, 3),
             release(8, 3), // voluntary relinquish, never claimed
+            forced(9, 4),  // the break of lease 4 ...
+            lease(10, 4),  // ... announced before its mint
         ];
         let r = check_online(&trace);
         assert!(r.ok(), "{:?} {:?}", r.ecf.violations, r.queue_violations);
 
         // Re-minting a lease over a reference that already progressed is
-        // an anomaly.
-        let bad = [
-            enqueue(0, 1),
-            grant(1, 1),
-            release(2, 1),
-            lease(3, 1), // re-mint of the released reference
-        ];
-        let r = check_online(&bad);
-        assert!(!r.ok());
-        assert!(
-            r.queue_violations[0].contains("lease mint of existing reference 1"),
-            "{:?}",
-            r.queue_violations
-        );
+        // an anomaly: a released one, or a collected one whose mint was
+        // already announced.
+        for (bad, r) in [
+            (
+                vec![enqueue(0, 1), grant(1, 1), release(2, 1), lease(3, 1)],
+                1,
+            ),
+            (vec![lease(0, 2), forced(1, 2), lease(2, 2)], 2),
+            (vec![forced(0, 3), lease(1, 3), lease(2, 3)], 3),
+        ] {
+            let report = check_online(&bad);
+            assert!(
+                report.queue_violations[0]
+                    .contains(&format!("lease mint of existing reference {r}")),
+                "{:?}",
+                report.queue_violations
+            );
+        }
     }
 
     #[test]

@@ -369,7 +369,7 @@ mod tests {
             },
         );
         let rep = r.online_report().expect("checker attached");
-        assert_eq!(rep.ecf, crate::ecf::check(&r.events()));
+        assert_eq!(rep, crate::online::check_online(&r.events()));
         assert!(!rep.ok());
     }
 

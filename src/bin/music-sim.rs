@@ -10,10 +10,9 @@
 //!                [--compare BASELINE] [--mutant-slow-us U]
 //!                                 # span-profiling workloads -> BENCH_<name>.json
 //! music-sim nemesis [p|all] [--seed N] [--schedules K] [--mode M]
-//!                [--online] [--drift-us E]
-//!                                 # randomized fault schedules + ECF verdicts
-//! music-sim verify [--online]     # bounded model check of the ECF invariants
-//!                                 # (--online: differential checker sweep)
+//!                [--drift-us E] [--flash-crowd]
+//!                                 # randomized fault schedules + checker verdicts
+//! music-sim verify                # bounded model check of the ECF invariants
 //! music-sim profiles              # print the Table II latency profiles
 //! ```
 //!
@@ -153,15 +152,14 @@ fn cmd_throughput(profile: LatencyProfile) {
 /// [--trace-id T]`: runs the seeded chaos scenario with full tracing.
 ///
 /// Default output is JSON lines — one per event (after any `--node` /
-/// `--site` / `--trace-id` filter), then a `metrics` line, then an
-/// `ecfOnline` line (the streaming checker's verdict, computed during
-/// the run), then the final `ecf` verdict line. With `--spans` it
-/// instead prints the (filtered) span tree in the Chrome trace event
-/// format (load in `chrome://tracing` or Perfetto), with the reports on
-/// stderr. The checkers always see the *full* log; filters only trim
-/// what is printed. Output is byte-identical across runs with the same
-/// seed and profile. Exits 1 on an ECF violation, a queue-refinement
-/// violation, or any online/offline verdict divergence.
+/// `--site` / `--trace-id` filter), then a `metrics` line, then the
+/// checker's verdict (computed during the run) as an `ecfOnline` line
+/// and its ECF core as the final `ecf` line. With `--spans` it instead
+/// prints the (filtered) span tree in the Chrome trace event format
+/// (load in `chrome://tracing` or Perfetto), with the reports on stderr.
+/// The checker always sees the *full* log; filters only trim what is
+/// printed. Output is byte-identical across runs with the same seed and
+/// profile. Exits 1 on an ECF or queue-refinement violation.
 #[allow(clippy::fn_params_excessive_bools)]
 fn cmd_trace(
     profile: LatencyProfile,
@@ -175,21 +173,16 @@ fn cmd_trace(
     use music_repro::telemetry::{to_json_lines, Recorder};
     use music_repro::trace::{filter_events, filter_spans};
     let run = music_repro::trace::run_chaos(profile, seed, Recorder::tracing());
-    let online = run.online.as_ref().expect("tracing recorder");
-    let diverged = online.ecf != run.report;
-    if diverged {
-        eprintln!("online checker diverged from the offline replay");
-    }
-    let ok = run.report.ok() && online.ok() && !diverged;
+    let report = &run.report;
     if spans {
         print!(
             "{}",
             to_chrome_trace(&filter_spans(&run.spans, node, site, trace_id))
         );
         eprintln!("{}", run.span_report.to_json());
-        eprintln!("{}", online.to_json());
-        eprintln!("{}", run.report.to_json());
-        if !ok || !run.span_report.ok() {
+        eprintln!("{}", report.to_json());
+        eprintln!("{}", report.ecf.to_json());
+        if !report.ok() || !run.span_report.ok() {
             std::process::exit(1);
         }
         return;
@@ -205,9 +198,9 @@ fn cmd_trace(
         ))
     );
     println!("{}", run.metrics.to_json());
-    println!("{}", online.to_json());
-    println!("{}", run.report.to_json());
-    if !ok {
+    println!("{}", report.to_json());
+    println!("{}", report.ecf.to_json());
+    if !report.ok() {
         std::process::exit(1);
     }
 }
@@ -273,8 +266,8 @@ fn cmd_profile(
             eprintln!("span check FAILED: {}", m.span_report.to_json());
             std::process::exit(1);
         }
-        if !m.online.ok() || !m.online_matches_offline {
-            eprintln!("online check FAILED: {}", m.online.to_json());
+        if !m.report.ok() {
+            eprintln!("checker FAILED: {}", m.report.to_json());
             std::process::exit(1);
         }
         modes.push(m);
@@ -319,30 +312,28 @@ fn cmd_profile(
 /// signature as lanes accrete.
 struct NemesisLanes {
     replay: bool,
-    online: bool,
     drift_us: u64,
     flash_crowd: bool,
 }
 
 /// `music-sim nemesis [profile|all] [--seed N] [--schedules K] [--mode M]
-/// [--no-replay] [--online] [--drift-us E]`: runs `K` seeded nemesis
+/// [--no-replay] [--drift-us E] [--flash-crowd]`: runs `K` seeded nemesis
 /// fault schedules per profile (seeds `N..N+K`), each against a
 /// randomized multi-client workload, and prints one JSON verdict line per
-/// schedule. Unless `--mode` pins one, the write mode cycles sync →
-/// pipelined → leased by seed. Every schedule is re-run and its event log
-/// and metrics must replay byte-identically (`--no-replay` skips that).
-/// `--online` adds the differential lane: the streaming checker's verdict
-/// — computed during the run — must equal the offline replay exactly and
-/// its queue refinement layer must be clean, per schedule. `--drift-us E`
-/// composes the clock-drift lane with every schedule: each replica's
-/// clock drifts within ±E µs and the ε lease guards are configured with
-/// ε = E µs — the drift-safe envelope, which must stay ECF-clean.
+/// schedule: the checker's ECF counters and its queue-refinement layer,
+/// both computed during the run. Unless `--mode` pins one, the write mode
+/// cycles sync → pipelined → leased by seed. Every schedule is re-run and
+/// its event log and metrics must replay byte-identically (`--no-replay`
+/// skips that). `--drift-us E` composes the clock-drift lane with every
+/// schedule: each replica's clock drifts within ±E µs and the ε lease
+/// guards are configured with ε = E µs — the drift-safe envelope, which
+/// must stay clean.
 /// `--flash-crowd` composes the flash-crowd lane: every client's middle
 /// sections converge on one hot key while the contention-adaptive
 /// controller (spin-then-queue, enqueue combining, lease auto-tuning,
 /// anti-starvation) is enabled.
-/// Exits 1 if any schedule violates ECF, fails to replay, or (with
-/// `--online`) diverges.
+/// Exits 1 if any schedule violates ECF or the queue refinement, or fails
+/// to replay.
 fn cmd_nemesis(
     profiles: Vec<LatencyProfile>,
     seed0: u64,
@@ -353,7 +344,6 @@ fn cmd_nemesis(
     use music::nemesis::{run_nemesis, NemesisOptions, RunMode};
     let NemesisLanes {
         replay,
-        online,
         drift_us,
         flash_crowd,
     } = lanes;
@@ -388,37 +378,28 @@ fn cmd_nemesis(
             } else {
                 true
             };
-            let rep = run.online.as_ref().expect("tracing recorder");
-            let online_equal = rep.ecf == run.report;
-            let online_ok = rep.ok() && online_equal;
-            let online_suffix = if online {
-                format!(
-                    ",\"onlineOk\":{online_ok},\"onlineEqualsOffline\":{online_equal},\
-                     \"queueChecked\":{},\"queueViolations\":{}",
-                    rep.queue_checked,
-                    rep.queue_violations.len()
-                )
-            } else {
-                String::new()
-            };
-            let ok = run.report.ok() && replay_identical && (!online || online_ok);
+            let rep = &run.report;
+            let ok = rep.ok() && replay_identical;
             println!(
                 "{{\"kind\":\"nemesis\",\"profile\":\"{}\",\"seed\":{seed},\
                  \"driftUs\":{drift_us},\"flashCrowd\":{flash_crowd},\
                  \"mode\":\"{}\",\"ok\":{ok},\"faults\":{},\"sectionsOk\":{},\
                  \"sectionsAbandoned\":{},\"grants\":{},\"zombieGrants\":{},\
                  \"staleReads\":{},\"stalePutAcks\":{},\"forcedReleases\":{},\
-                 \"replayIdentical\":{replay_identical}{online_suffix},\"finalTimeUs\":{}}}",
+                 \"replayIdentical\":{replay_identical},\"queueChecked\":{},\
+                 \"queueViolations\":{},\"finalTimeUs\":{}}}",
                 profile.name(),
                 m.name(),
                 run.schedule.len(),
                 run.sections_ok,
                 run.sections_abandoned,
-                run.report.grants,
-                run.report.zombie_grants,
-                run.report.stale_reads,
-                run.report.stale_put_acks,
-                run.report.forced_releases,
+                rep.ecf.grants,
+                rep.ecf.zombie_grants,
+                rep.ecf.stale_reads,
+                rep.ecf.stale_put_acks,
+                rep.ecf.forced_releases,
+                rep.queue_checked,
+                rep.queue_violations.len(),
                 run.final_time_us,
             );
             if !ok {
@@ -438,11 +419,7 @@ fn cmd_nemesis(
                 if !replay_identical {
                     eprintln!("  replay diverged (event log or metrics not byte-identical)");
                 }
-                if online && !online_ok {
-                    eprintln!("  online checker diverged or flagged the queue:");
-                    eprintln!("  {}", rep.to_json());
-                }
-                eprintln!("  {}", run.report.to_json());
+                eprintln!("  {}", rep.to_json());
             }
         }
     }
@@ -450,64 +427,6 @@ fn cmd_nemesis(
         eprintln!("nemesis: {failures} schedule(s) failed");
         std::process::exit(1);
     }
-}
-
-/// `music-sim verify --online [--seed N]`: the differential lane as a
-/// CLI — replays seeded chaos and nemesis corpora through both checkers
-/// and requires (a) identical ECF verdicts, online vs offline, and (b) a
-/// clean queue-refinement layer. Exits 1 on any divergence.
-fn cmd_verify_online(seed0: u64) {
-    use music::nemesis::{run_nemesis, NemesisOptions, RunMode};
-    use music_repro::telemetry::{check, Recorder};
-    use music_repro::trace::run_chaos;
-    println!("== differential check: streaming online vs offline replay ==");
-    let mut failures = 0u64;
-    for (i, seed) in (seed0..seed0 + 4).enumerate() {
-        let run = run_chaos(LatencyProfile::one_us(), seed, Recorder::tracing());
-        let rep = run.online.as_ref().expect("tracing recorder");
-        let equal = rep.ecf == run.report;
-        let ok = equal && rep.queue_violations.is_empty() && run.report.ok();
-        println!(
-            "  chaos   seed {seed}: {} ({} events, {} queue ops checked)",
-            if ok { "verdicts agree" } else { "DIVERGED" },
-            rep.events_seen,
-            rep.queue_checked
-        );
-        if !ok {
-            failures += 1;
-            eprintln!("    online:  {}", rep.to_json());
-            eprintln!("    offline: {}", run.report.to_json());
-        }
-        // Interleave a nemesis schedule per chaos seed, cycling modes.
-        let m = RunMode::ALL[i % 3];
-        let run = run_nemesis(
-            LatencyProfile::one_us(),
-            seed,
-            NemesisOptions::new(m),
-            Recorder::tracing(),
-        );
-        let rep = run.online.as_ref().expect("tracing recorder");
-        let offline = check(&run.events);
-        let equal = rep.ecf == offline;
-        let ok = equal && rep.queue_violations.is_empty() && offline.ok();
-        println!(
-            "  nemesis seed {seed} ({}): {} ({} events, {} queue ops checked)",
-            m.name(),
-            if ok { "verdicts agree" } else { "DIVERGED" },
-            rep.events_seen,
-            rep.queue_checked
-        );
-        if !ok {
-            failures += 1;
-            eprintln!("    online:  {}", rep.to_json());
-            eprintln!("    offline: {}", offline.to_json());
-        }
-    }
-    if failures > 0 {
-        eprintln!("verify --online: {failures} corpus run(s) diverged");
-        std::process::exit(1);
-    }
-    println!("  all verdicts identical; queue refinement clean");
 }
 
 fn cmd_verify() {
@@ -617,7 +536,6 @@ fn main() {
     let mut schedules = 8u64;
     let mut mode_raw: Option<String> = None;
     let mut replay = true;
-    let mut online = false;
     let mut spans = false;
     let mut node: Option<u32> = None;
     let mut site: Option<u32> = None;
@@ -649,7 +567,6 @@ fn main() {
                 mode_raw = Some(rest.next().expect("--mode needs an operand").clone());
             }
             "--no-replay" => replay = false,
-            "--online" => online = true,
             "--spans" => spans = true,
             "--node" => {
                 node = Some(
@@ -735,19 +652,12 @@ fn main() {
                 mode,
                 NemesisLanes {
                     replay,
-                    online,
                     drift_us,
                     flash_crowd,
                 },
             );
         }
-        "verify" => {
-            if online {
-                cmd_verify_online(seed);
-            } else {
-                cmd_verify();
-            }
-        }
+        "verify" => cmd_verify(),
         "compare" => {
             let (Some(base_path), Some(fresh_path)) = (free.first(), free.get(1)) else {
                 eprintln!(
@@ -774,14 +684,13 @@ fn main() {
             println!("              [--mutant-slow-us U]");
             println!("  compare     BENCH regression gate on two artifacts");
             println!("              compare <baseline.json> <fresh.json> [--tolerance PCT]");
-            println!("  nemesis     randomized fault schedules -> per-schedule ECF verdicts");
+            println!("  nemesis     randomized fault schedules -> per-schedule checker verdicts");
+            println!("              (ECF + lock-queue refinement)");
             println!("              [profile|all] [--seed N] [--schedules K]");
             println!("              [--mode sync|pipelined|leased] [--no-replay]");
-            println!("              [--online] (streaming verdict must equal offline)");
             println!("              [--drift-us E] (replica clocks skewed within ±E µs, ε = E)");
             println!("              [--flash-crowd] (hot-key crowd + adaptive controller)");
             println!("  verify      bounded model check of the ECF invariants (§V)");
-            println!("              [--online] (differential online-vs-offline sweep)");
             println!("  profiles    print the Table II latency profiles");
             println!();
             println!("profiles: 1l | 1Us (default) | 1UsEu");

@@ -20,8 +20,7 @@ use music::{
 use music_simnet::prelude::*;
 use music_telemetry::span::check as check_spans;
 use music_telemetry::{
-    check, EcfReport, Event, MetricsSnapshot, OnlineConfig, OnlineReport, Recorder, Span,
-    SpanReport, TraceId,
+    Event, MetricsSnapshot, OnlineConfig, OnlineReport, Recorder, Span, SpanReport, TraceId,
 };
 
 /// `criticalGet` with retries: under the run's 1% loss a quorum read can
@@ -52,7 +51,7 @@ async fn put_retrying(sim: &Sim, cs: &CriticalSection, value: Bytes, what: &str)
 }
 
 /// Everything a chaos run produces: the op-outcome log (for determinism
-/// comparisons), the recorded telemetry, and the ECF verdict.
+/// comparisons), the recorded telemetry, and the checker's verdict.
 #[derive(Debug)]
 pub struct TraceRun {
     /// Human-readable outcome of every scripted operation, in order.
@@ -63,12 +62,9 @@ pub struct TraceRun {
     pub events: Vec<Event>,
     /// Counter snapshot (empty if the recorder was off).
     pub metrics: MetricsSnapshot,
-    /// ECF checker verdict over `events`.
-    pub report: EcfReport,
-    /// The streaming checker's verdict, computed *during* the run
-    /// (`None` unless the recorder was tracing). Its ECF core must equal
-    /// [`TraceRun::report`]; its queue layer must be clean.
-    pub online: Option<OnlineReport>,
+    /// The verdict — ECF plus the lock-queue refinement — computed by the
+    /// checker *during* the run (empty unless the recorder was tracing).
+    pub report: OnlineReport,
     /// The recorded span log (empty unless the recorder was tracing).
     pub spans: Vec<Span>,
     /// Span-tree well-formedness verdict over `spans`.
@@ -80,7 +76,7 @@ pub struct TraceRun {
 /// Events surviving the `music-sim trace` output filters. `node_sites`
 /// maps node id → site (see [`TraceRun::node_sites`]); `None` filters
 /// pass everything. Filtering applies to the *printed* lines only — the
-/// ECF checker always sees the full log.
+/// checker always sees the full log.
 pub fn filter_events(
     events: &[Event],
     node_sites: &[u32],
@@ -114,7 +110,7 @@ pub fn filter_spans(
 }
 
 /// Runs the seeded chaos scenario with `recorder` installed and returns
-/// the recorded telemetry plus the replayed ECF verdict.
+/// the recorded telemetry plus the checker's verdict.
 pub fn run_chaos(profile: LatencyProfile, seed: u64, recorder: Recorder) -> TraceRun {
     // Check the run as it executes: attach the streaming checker unless
     // the caller already configured one (e.g. a sampling window).
@@ -400,8 +396,7 @@ pub fn run_chaos(profile: LatencyProfile, seed: u64, recorder: Recorder) -> Trac
     let final_time_us = sys.sim().now().as_micros();
     let events = recorder.events();
     let metrics = recorder.metrics();
-    let report = check(&events);
-    let online = recorder.online_report();
+    let report = recorder.online_report().unwrap_or_default();
     let spans = recorder.spans();
     let span_report = check_spans(&spans);
     let node_sites = (0..sys.net().node_count() as u32)
@@ -413,7 +408,6 @@ pub fn run_chaos(profile: LatencyProfile, seed: u64, recorder: Recorder) -> Trac
         events,
         metrics,
         report,
-        online,
         spans,
         span_report,
         node_sites,

@@ -1,85 +1,95 @@
-//! Differential lane: the streaming online checker versus the offline
-//! replay checker, over every corpus the repo generates.
-//!
-//! The contract under test: with an unbounded window the online ECF core
-//! is verdict-**identical** to [`check`] — same counters, same violation
-//! strings — whether the events are replayed post-hoc or consumed live
-//! through a recorder-attached checker. On top of that, the queue
-//! refinement layer must stay clean on every legitimate corpus (no false
-//! positives) while catching seeded lockstore anomalies the end-to-end
-//! ECF predicate provably passes.
+//! Differential lane: the checker's verdict must not depend on how it is
+//! fed — live, attached to the recorder while a run executes, or replaying
+//! the stored log afterwards; unbounded, or through a retirement window
+//! that outlasts every key's idle gap; every key, or a sample of keys
+//! whose verdict is that of the sampled keys' sub-log.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use music::nemesis::{run_nemesis, NemesisOptions, RunMode};
 use music_repro::telemetry::{
-    check, check_online, Event, EventKind, OnlineChecker, OnlineConfig, Recorder,
+    check, check_online, digest, EcfReport, Event, EventKind, OnlineChecker, OnlineConfig,
+    OnlineReport, Recorder,
 };
 use music_repro::trace::run_chaos;
 use music_simnet::prelude::*;
 
-fn seeds() -> Vec<u64> {
-    match std::env::var("MUSIC_SEEDS") {
-        Ok(s) => s
-            .split(',')
-            .map(|t| t.trim().parse().expect("MUSIC_SEEDS must be integers"))
-            .collect(),
-        Err(_) => vec![1, 2, 3, 5, 7, 11, 42, 1729],
+/// The chaos seeds of `tests/seed_matrix.rs`.
+const SEEDS: [u64; 8] = [1, 2, 3, 5, 7, 11, 42, 1729];
+
+fn chaos_events(seed: u64) -> Vec<Event> {
+    run_chaos(LatencyProfile::one_us(), seed, Recorder::tracing()).events
+}
+
+fn replay(cfg: OnlineConfig, events: &[Event]) -> OnlineReport {
+    let mut c = OnlineChecker::new(cfg);
+    for e in events {
+        c.push(e);
+    }
+    c.report()
+}
+
+/// The key an event is about, for every kind the checker keys on.
+fn key_of(e: &Event) -> Option<&str> {
+    match &e.kind {
+        EventKind::LockEnqueue { key, .. }
+        | EventKind::LockGrant { key, .. }
+        | EventKind::LockRelease { key, .. }
+        | EventKind::LockForcedRelease { key, .. }
+        | EventKind::LeaseGrant { key, .. }
+        | EventKind::LeaseBreak { key, .. }
+        | EventKind::WatchdogPreempt { key, .. }
+        | EventKind::CritPutStart { key, .. }
+        | EventKind::CritPutAck { key, .. }
+        | EventKind::CritGet { key, .. }
+        | EventKind::SynchMark { key, .. } => Some(key),
+        _ => None,
     }
 }
 
-/// Replays `events` through a fresh unbounded checker and asserts full
-/// verdict agreement with the offline checker, plus a clean queue layer.
-fn assert_equivalent_and_queue_clean(events: &[Event], what: &str) {
-    let offline = check(events);
-    let online = check_online(events);
-    assert_eq!(
-        online.ecf, offline,
-        "{what}: online ECF verdict diverged from offline"
-    );
-    assert!(
-        online.queue_violations.is_empty(),
-        "{what}: queue refinement false-positive: {:?}",
-        online.queue_violations
-    );
+/// The longest virtual time between two consecutive events on one key.
+fn longest_idle_gap(events: &[Event]) -> u64 {
+    let mut last_at: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut longest = 0;
+    for e in events {
+        if let Some(prev) = key_of(e).and_then(|k| last_at.insert(k, e.at_us)) {
+            longest = longest.max(e.at_us.saturating_sub(prev));
+        }
+    }
+    longest
+}
+
+/// What a restricted check must reproduce of a verdict.
+fn verdict(r: &OnlineReport) -> (&EcfReport, u64, &[String]) {
+    (&r.ecf, r.queue_checked, &r.queue_violations)
 }
 
 #[test]
 fn chaos_seed_matrix_verdicts_agree() {
-    // All 8 seeds of the matrix, through the full chaos scenario
-    // (phases 1-7: clean sections, mid-put crash, watchdog preemption,
-    // partition failover, pipelined batches, the lease lifecycle). The
-    // checker is attached to the recorder, so the streaming verdict is
-    // computed DURING the run; it must equal both the offline replay and
-    // a post-hoc streaming replay of the recorded log.
-    for seed in seeds() {
-        let recorder = Recorder::tracing();
-        recorder.attach_online(OnlineConfig::unbounded());
-        let run = run_chaos(LatencyProfile::one_us(), seed, recorder.clone());
-        assert!(run.report.ok(), "seed {seed}: chaos run not ECF-clean");
-
-        let live = recorder.online_report().expect("checker attached");
-        assert_eq!(
-            live.ecf, run.report,
-            "seed {seed}: live streaming verdict diverged from offline"
-        );
+    // The full chaos scenario — clean sections, mid-put crash, watchdog
+    // preemption, partition failover, pipelined batches, the lease
+    // lifecycle — checked while it runs equals a replay of its log.
+    for seed in SEEDS {
+        let run = run_chaos(LatencyProfile::one_us(), seed, Recorder::tracing());
+        assert!(run.report.ok(), "seed {seed}: {}", run.report.to_json());
         assert!(
-            live.queue_violations.is_empty(),
-            "seed {seed}: queue refinement false-positive: {:?}",
-            live.queue_violations
+            run.report.queue_checked > 0,
+            "seed {seed}: queue layer idle"
         );
-        assert!(live.queue_checked > 0, "seed {seed}: queue layer idle");
-
-        // Streaming over the recorded log == the live streaming pass.
-        let replayed = check_online(&run.events);
-        assert_eq!(replayed, live, "seed {seed}: replay != live streaming");
+        assert_eq!(
+            check_online(&run.events),
+            run.report,
+            "seed {seed}: replay != live"
+        );
     }
 }
 
 #[test]
 fn nemesis_schedule_verdicts_agree() {
-    // Randomized nemesis fault schedules across all three write modes —
-    // the same (seed, salt, mode) derivation the seed-matrix sweep uses,
-    // so CI shards cover all 216 schedules via MUSIC_SEEDS.
-    for seed in seeds() {
+    // Randomized nemesis fault schedules across the three write modes, the
+    // (seed, salt, mode) corpus `seed_matrix` requires to be clean: the
+    // verdict computed during each schedule equals a replay of its log.
+    for seed in SEEDS {
         for salt in [0u64, 1] {
             let nemesis_seed = seed.wrapping_mul(2).wrapping_add(salt);
             let mode = RunMode::ALL[(nemesis_seed % 3) as usize];
@@ -89,418 +99,183 @@ fn nemesis_schedule_verdicts_agree() {
                 NemesisOptions::new(mode),
                 Recorder::tracing(),
             );
-            assert_equivalent_and_queue_clean(
-                &run.events,
-                &format!("nemesis seed {nemesis_seed} mode {}", mode.name()),
+            assert!(
+                run.report.queue_checked > 0,
+                "nemesis seed {nemesis_seed}: queue layer idle"
+            );
+            assert_eq!(
+                check_online(&run.events),
+                run.report,
+                "nemesis seed {nemesis_seed} mode {}: replay != live",
+                mode.name()
             );
         }
     }
+}
+
+/// The kind of the last holder read in `events`.
+fn last_read(events: &mut [Event]) -> &mut EventKind {
+    &mut events
+        .iter_mut()
+        .rfind(|e| matches!(e.kind, EventKind::CritGet { .. }))
+        .expect("trace has a criticalGet")
+        .kind
 }
 
 #[test]
 fn every_offline_mutant_is_caught_online_with_the_identical_verdict() {
-    // Every corruption tests/ecf_checker.rs proves the offline checker
-    // catches must be caught by the online checker too — with the exact
-    // same violations. Mutating the *verdict-relevant* dimensions:
-    let base = run_chaos(LatencyProfile::one_us(), 7, Recorder::tracing()).events;
-    assert!(check(&base).ok(), "baseline must be clean");
-
-    let mut mutants: Vec<(String, Vec<Event>)> = Vec::new();
-
-    // 1. Corrupted digest on the last holder read (latest-state).
-    let mut m = base.clone();
-    let e = m
-        .iter_mut()
-        .rfind(|e| matches!(e.kind, EventKind::CritGet { .. }))
-        .expect("trace has a criticalGet");
-    if let EventKind::CritGet { digest, .. } = &mut e.kind {
-        *digest = Some(digest.map_or(1, |d| d ^ 0xDEAD_BEEF));
-    }
-    mutants.push(("corrupted read digest".into(), m));
-
-    // 2. Forged overlapping grant (exclusivity).
-    let mut m = base.clone();
-    let idx = m
-        .iter()
-        .position(|e| matches!(e.kind, EventKind::LockGrant { .. }))
-        .expect("trace has a lockGrant");
-    let mut forged = m[idx].clone();
-    if let EventKind::LockGrant { lock_ref, .. } = &mut forged.kind {
-        *lock_ref ^= 0xBAD;
-    }
-    forged.seq += 1;
-    m.insert(idx + 1, forged);
-    mutants.push(("forged overlapping grant".into(), m));
-
-    // 3. Read by a reference that does not hold the lock (exclusivity):
-    //    retarget a holder read at a bogus reference.
-    let mut m = base.clone();
-    let e = m
-        .iter_mut()
-        .rfind(|e| matches!(e.kind, EventKind::CritGet { .. }))
-        .expect("trace has a criticalGet");
-    if let EventKind::CritGet { lock_ref, .. } = &mut e.kind {
-        *lock_ref ^= 0xF00D;
-    }
-    mutants.push(("read by a non-holder".into(), m));
-
-    // 4. Deleted release: drop a clean release whose key is granted
-    //    again later, so the successor grant lands while the predecessor
-    //    still holds (exclusivity).
-    let mut m = base.clone();
-    let idx = m
-        .iter()
-        .enumerate()
-        .find_map(|(i, e)| match &e.kind {
-            EventKind::LockRelease { key, lock_ref } => {
-                let regranted = m.iter().any(|g| {
-                    matches!(&g.kind, EventKind::LockGrant { key: k, lock_ref: r }
-                             if k == key && r != lock_ref)
-                        && g.seq > e.seq
-                });
-                regranted.then_some(i)
-            }
-            _ => None,
-        })
-        .expect("trace has a release followed by a re-grant of its key");
-    m.remove(idx);
-    mutants.push(("deleted release".into(), m));
-
-    // 5. Broken sequence order: swap two adjacent seq numbers.
-    let mut m = base.clone();
-    let (s0, s1) = (m[10].seq, m[11].seq);
-    m[10].seq = s1;
-    m[11].seq = s0;
-    mutants.push(("seq order broken".into(), m));
-
-    for (what, events) in &mutants {
-        let offline = check(events);
-        assert!(!offline.ok(), "{what}: offline checker missed the mutant");
-        let online = check_online(events);
-        assert!(!online.ecf.ok(), "{what}: online checker missed the mutant");
-        assert_eq!(
-            online.ecf, offline,
-            "{what}: online verdict differs from offline"
-        );
-    }
-}
-
-#[test]
-fn queue_refinement_catches_what_ecf_passes() {
-    // Seeded lockstore anomalies injected into a REAL chaos trace. Each
-    // mutant must pass the offline end-to-end ECF check (that is the
-    // point: later synchronization masks the internal anomaly) while the
-    // queue refinement layer flags it.
-    let base = run_chaos(LatencyProfile::one_us(), 7, Recorder::tracing()).events;
-    let last = base.last().expect("non-empty trace");
-    let next = |e: &Event, seq_off: u64| (last.seq + seq_off, e.at_us.max(last.at_us) + seq_off);
-
-    // Mutant A — resurrection grant: re-grant a reference that was
-    // cleanly released (offline: a zombie-free lock is simply re-held;
-    // since the queue is empty the grant looks fine end-to-end... but it
-    // IS fine for ECF only because the key is idle).
-    let released = base
-        .iter()
-        .filter_map(|e| match &e.kind {
-            EventKind::LockRelease { key, lock_ref } => Some((key.clone(), *lock_ref)),
-            _ => None,
-        })
-        .next_back()
-        .expect("trace has a clean release");
-    let mut m = base.clone();
-    let (seq, at_us) = next(last, 1);
-    m.push(Event {
-        seq,
-        at_us,
-        trace: 0,
-        node: 0,
-        kind: EventKind::LockGrant {
-            key: released.0.clone(),
-            lock_ref: released.1,
-        },
-    });
-    let offline = check(&m);
-    assert!(
-        offline.ok(),
-        "mutant A must pass offline ECF: {:?}",
-        offline.violations
-    );
-    let online = check_online(&m);
-    assert!(online.ecf.ok());
-    assert!(
-        online
-            .queue_violations
-            .iter()
-            .any(|v| v.contains("cleanly released reference")),
-        "mutant A not flagged: {:?}",
-        online.queue_violations
-    );
-
-    // Mutant B — double grant after forcedRelease: a reference that was
-    // granted and then collected by the failure detector gets granted
-    // AGAIN once the lock is free. The offline checker excuses it as a
-    // zombie grant (ok() stays true); the queue model knows better.
-    let collected = base
-        .iter()
-        .filter_map(|e| match &e.kind {
-            EventKind::LockForcedRelease { key, lock_ref } => Some((e.seq, key.clone(), *lock_ref)),
-            _ => None,
-        })
-        .find(|(fseq, key, r)| {
-            // Must have been effectively granted before the collection,
-            // and its key must be idle at the end of the trace.
-            let granted_before = base.iter().any(|e| {
-                matches!(&e.kind, EventKind::LockGrant { key: k, lock_ref: g }
-                         if k == key && g == r)
-                    && e.seq < *fseq
-            });
-            let held_after = base.iter().any(|e| {
-                matches!(&e.kind, EventKind::LockGrant { key: k, .. } if k == key)
-                    && e.seq > *fseq
-                    && !base.iter().any(|r2| {
-                        matches!(&r2.kind,
-                            EventKind::LockRelease { key: k2, .. }
-                            | EventKind::LockForcedRelease { key: k2, .. } if k2 == key)
-                            && r2.seq > e.seq
+    // Five corruptions of a real trace, each naming the violation kind a
+    // replay of the whole log must raise. A streaming checker that retires
+    // quiescent keys, with a window longer than any key's idle gap in the
+    // mutant, must reach the identical verdict: retirement loses nothing.
+    let base = chaos_events(7);
+    let mutant = |mutate: &dyn Fn(&mut Vec<Event>)| {
+        let mut m = base.clone();
+        mutate(&mut m);
+        m
+    };
+    let mutants = [
+        (
+            // The last holder read: by then a put has been acknowledged,
+            // so the true value is pinned (a key's first read is free).
+            "corrupted read digest",
+            mutant(&|m| {
+                if let EventKind::CritGet { digest, .. } = last_read(m) {
+                    *digest = Some(digest.map_or(1, |d| d ^ 0xDEAD_BEEF));
+                }
+            }),
+            "latest-state: critical read on",
+        ),
+        (
+            "forged overlapping grant",
+            mutant(&|m| {
+                let i = m
+                    .iter()
+                    .position(|e| matches!(e.kind, EventKind::LockGrant { .. }))
+                    .expect("trace has a lockGrant");
+                let mut forged = m[i].clone();
+                if let EventKind::LockGrant { lock_ref, .. } = &mut forged.kind {
+                    *lock_ref ^= 0xBAD;
+                }
+                forged.seq += 1;
+                m.insert(i + 1, forged);
+            }),
+            "exclusivity: grant of",
+        ),
+        (
+            "read by a non-holder",
+            mutant(&|m| {
+                if let EventKind::CritGet { lock_ref, .. } = last_read(m) {
+                    *lock_ref ^= 0xF00D;
+                }
+            }),
+            "exclusivity: critical read on",
+        ),
+        (
+            // A clean release whose key another reference is granted
+            // later: without it the successor's grant overlaps.
+            "deleted release",
+            mutant(&|m| {
+                let i = m
+                    .iter()
+                    .position(|e| {
+                        let EventKind::LockRelease { key, lock_ref } = &e.kind else {
+                            return false;
+                        };
+                        m.iter().any(|g| {
+                            g.seq > e.seq
+                                && matches!(&g.kind, EventKind::LockGrant { key: k, lock_ref: r }
+                                            if k == key && r != lock_ref)
+                        })
                     })
-            });
-            granted_before && !held_after
-        });
-    if let Some((_, key, r)) = collected {
-        let mut m = base.clone();
-        let (seq, at_us) = next(last, 2);
-        m.push(Event {
-            seq,
-            at_us,
-            trace: 0,
-            node: 0,
-            kind: EventKind::LockGrant { key, lock_ref: r },
-        });
-        let offline = check(&m);
+                    .expect("trace has a release followed by a re-grant of its key");
+                m.remove(i);
+            }),
+            "exclusivity: grant of",
+        ),
+        (
+            "broken seq order",
+            mutant(&|m| {
+                let (s0, s1) = (m[10].seq, m[11].seq);
+                m[10].seq = s1;
+                m[11].seq = s0;
+            }),
+            "seq order broken",
+        ),
+    ];
+    for (what, events, expected) in &mutants {
+        let offline = check_online(events);
         assert!(
-            offline.ok(),
-            "mutant B must pass offline ECF (zombie excuse): {:?}",
-            offline.violations
-        );
-        assert!(offline.zombie_grants > check(&base).zombie_grants);
-        let online = check_online(&m);
-        assert!(online.ecf.ok());
-        assert!(
-            online
-                .queue_violations
+            offline
+                .ecf
+                .violations
                 .iter()
-                .any(|v| v.contains("re-grant of collected reference")),
-            "mutant B not flagged: {:?}",
-            online.queue_violations
+                .any(|v| v.starts_with(expected)),
+            "{what}: expected {expected:?}, got {:?}",
+            offline.ecf.violations
         );
-    } else {
-        // The fixed seed-7 trace has watchdog preemptions of granted
-        // holders; if the shape ever changes, fall back to a synthetic
-        // tail on a fresh key so the mutant is still exercised.
-        let mk = |seq_off: u64, kind: EventKind| {
-            let (seq, at_us) = next(last, seq_off);
-            Event {
-                seq,
-                at_us,
-                trace: 0,
-                node: 0,
-                kind,
-            }
-        };
-        let key = "queue-mutant-b".to_string();
-        let mut m = base.clone();
-        for (i, kind) in [
-            EventKind::LockEnqueue {
-                key: key.clone(),
-                lock_ref: 1,
-            },
-            EventKind::LockGrant {
-                key: key.clone(),
-                lock_ref: 1,
-            },
-            EventKind::LockForcedRelease {
-                key: key.clone(),
-                lock_ref: 1,
-            },
-            EventKind::LockGrant {
-                key: key.clone(),
-                lock_ref: 1,
-            },
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            m.push(mk(i as u64 + 2, kind));
-        }
-        let offline = check(&m);
-        assert!(offline.ok(), "{:?}", offline.violations);
-        let online = check_online(&m);
+        let online = replay(OnlineConfig::windowed(longest_idle_gap(events) + 1), events);
         assert!(
-            online
-                .queue_violations
-                .iter()
-                .any(|v| v.contains("re-grant of collected reference")),
-            "mutant B (synthetic) not flagged: {:?}",
-            online.queue_violations
+            online.keys_retired > 0,
+            "{what}: the window never retired a key"
         );
+        assert_eq!(verdict(&online), verdict(&offline), "{what}");
     }
-
-    // Mutant C — out-of-order grant: three references minted, granted
-    // 1, 3, 2. Every grant lands on an idle lock, so end-to-end ECF is
-    // blind to the FIFO break.
-    let mk = |seq_off: u64, kind: EventKind| {
-        let (seq, at_us) = next(last, seq_off);
-        Event {
-            seq,
-            at_us,
-            trace: 0,
-            node: 0,
-            kind,
-        }
-    };
-    let key = "queue-mutant-c".to_string();
-    let enqueue = |r: u64| EventKind::LockEnqueue {
-        key: key.clone(),
-        lock_ref: r,
-    };
-    let grant = |r: u64| EventKind::LockGrant {
-        key: key.clone(),
-        lock_ref: r,
-    };
-    let release = |r: u64| EventKind::LockRelease {
-        key: key.clone(),
-        lock_ref: r,
-    };
-    let mut m = base.clone();
-    for (i, kind) in [
-        enqueue(1),
-        enqueue(2),
-        enqueue(3),
-        grant(1),
-        release(1),
-        grant(3),
-        release(3),
-        grant(2),
-        release(2),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        m.push(mk(i as u64 + 10, kind));
-    }
-    let offline = check(&m);
-    assert!(offline.ok(), "mutant C must pass offline ECF");
-    let online = check_online(&m);
-    assert!(online.ecf.ok());
-    assert!(
-        online
-            .queue_violations
-            .iter()
-            .any(|v| v.contains("out-of-order grant")),
-        "mutant C not flagged: {:?}",
-        online.queue_violations
-    );
 }
 
 #[test]
-fn memory_stays_bounded_over_100k_distinct_keys() {
-    // 120k distinct keys stream through a windowed checker; only a small
-    // rolling set is ever simultaneously active, and the checker's state
-    // must track the LIVE set, not the event count. Synthetic events
-    // (this is a memory-shape test, not a protocol test): each key runs
-    // one enqueue/grant/put/get/release section, keys overlap in a
-    // sliding window of 64.
-    const KEYS: u64 = 120_000;
-    const OVERLAP: u64 = 64;
-    let mut c = OnlineChecker::new(OnlineConfig::windowed(10_000));
-    let mut seq = 0u64;
-    let mut push = |c: &mut OnlineChecker, key: &str, kind: EventKind| {
-        let e = Event {
-            seq,
-            at_us: seq, // virtual clock advances with the stream
-            trace: 0,
-            node: 0,
-            kind,
-        };
-        let _ = key;
-        seq += 1;
-        c.push(&e);
-    };
-    let mut peak_live_seen = 0usize;
-    for k in 0..KEYS {
-        let key = format!("bound-{k}");
-        let d = music_repro::telemetry::digest(key.as_bytes());
-        push(
-            &mut c,
-            &key,
-            EventKind::LockEnqueue {
-                key: key.clone(),
-                lock_ref: 1,
-            },
+fn sampling_and_windowing_keep_their_promises_on_a_real_trace() {
+    let events = chaos_events(7);
+    let last_read = events
+        .iter()
+        .rposition(|e| matches!(e.kind, EventKind::CritGet { .. }))
+        .expect("trace has a criticalGet");
+    let lock_keys: BTreeSet<&str> = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::LockGrant { .. }))
+        .filter_map(key_of)
+        .collect();
+    for n in [2u64, 3] {
+        let cfg = OnlineConfig::unbounded().with_sampling(n);
+        let sampled = |e: &Event| key_of(e).is_none_or(|k| digest(k.as_bytes()).is_multiple_of(n));
+        // Whole-key sampling is sound: the verdict is an unbounded check
+        // of the sub-log of the sampled keys.
+        let sub: Vec<Event> = events.iter().filter(|e| sampled(e)).cloned().collect();
+        assert_eq!(
+            verdict(&replay(cfg, &events)),
+            verdict(&check_online(&sub)),
+            "sampling {n}"
         );
-        push(
-            &mut c,
-            &key,
-            EventKind::LockGrant {
-                key: key.clone(),
-                lock_ref: 1,
-            },
-        );
-        push(
-            &mut c,
-            &key,
-            EventKind::CritPutAck {
-                key: key.clone(),
-                lock_ref: 1,
-                digest: d,
-            },
-        );
-        push(
-            &mut c,
-            &key,
-            EventKind::CritGet {
-                key: key.clone(),
-                lock_ref: 1,
-                digest: Some(d),
-            },
-        );
-        // Release lags by OVERLAP keys: a sliding window of open sections.
-        if k >= OVERLAP {
-            let old = format!("bound-{}", k - OVERLAP);
-            push(
-                &mut c,
-                &old,
-                EventKind::LockRelease {
-                    key: old.clone(),
-                    lock_ref: 1,
-                },
+        // A corrupted read — the last read, moved to another lock key and
+        // a reference that does not hold it — is flagged exactly when its
+        // key is sampled.
+        let mut flagged = [0u32; 2]; // [skipped, sampled]
+        for &k in &lock_keys {
+            let mut m = events.clone();
+            if let EventKind::CritGet { key, lock_ref, .. } = &mut m[last_read].kind {
+                *key = k.to_string();
+                *lock_ref ^= 0xF00D;
+            }
+            assert!(!check(&m).ok(), "unbounded check missed a read on {k}");
+            let on_sampled_key = sampled(&m[last_read]);
+            assert_eq!(
+                replay(cfg, &m).ecf.ok(),
+                !on_sampled_key,
+                "sampling {n}: corrupted read on {k}"
             );
+            flagged[usize::from(on_sampled_key)] += 1;
         }
-        peak_live_seen = peak_live_seen.max(c.live_keys());
-    }
-    for k in (KEYS - OVERLAP)..KEYS {
-        let key = format!("bound-{k}");
-        push(
-            &mut c,
-            &key,
-            EventKind::LockRelease {
-                key: key.clone(),
-                lock_ref: 1,
-            },
+        assert!(
+            flagged.iter().all(|&f| f > 0),
+            "sampling {n}: corrupted reads [skipped, sampled] = {flagged:?}"
         );
     }
-    let r = c.report();
-    assert!(r.ok(), "{:?} {:?}", r.ecf.violations, r.queue_violations);
-    assert_eq!(r.events_seen, KEYS * 5);
-    assert!(r.keys_retired > KEYS / 2, "window never retired state");
-    // The bound: live state is O(open sections + retirement window), not
-    // O(distinct keys) and not O(events). The sweep cadence (1024
-    // events) times the section width bounds how much quiescent state
-    // can linger between sweeps.
-    let bound = 8_192;
-    assert!(
-        peak_live_seen < bound,
-        "peak live {peak_live_seen} for {KEYS} keys — state is not O(live keys)"
+    // A window longer than any key's idle gap never retires state a later
+    // event on that key still needs: the verdict is the unbounded one.
+    let windowed = replay(
+        OnlineConfig::windowed(longest_idle_gap(&events) + 1),
+        &events,
     );
-    assert!(c.live_keys() < bound);
+    assert!(windowed.keys_retired > 0, "the window never retired a key");
+    assert_eq!(verdict(&windowed), verdict(&check_online(&events)));
 }

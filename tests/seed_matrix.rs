@@ -35,7 +35,10 @@ fn every_seed_is_ecf_clean() {
         );
         // The interesting machinery must actually have fired under every
         // schedule — a trivially-empty run would vacuously pass.
-        assert!(run.report.grants >= 10, "seed {seed}: too few lock grants");
+        assert!(
+            run.report.ecf.grants >= 10,
+            "seed {seed}: too few lock grants"
+        );
         assert!(
             run.metrics.total("lease_grants") >= 1,
             "seed {seed}: lease fast path never granted"
@@ -76,7 +79,8 @@ fn every_seed_is_ecf_clean() {
 fn every_seed_survives_nemesis_schedules() {
     // Beyond the fixed chaos scenario: two *randomized* nemesis fault
     // schedules per seed (distinct write modes), each of which must come
-    // out ECF-clean. Sharded by the same MUSIC_SEEDS variable as above.
+    // out ECF-clean with a clean lock-queue refinement. Sharded by the
+    // same MUSIC_SEEDS variable as above.
     for seed in seeds() {
         for salt in [0u64, 1] {
             let nemesis_seed = seed.wrapping_mul(2).wrapping_add(salt);
