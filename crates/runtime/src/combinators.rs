@@ -17,10 +17,12 @@ use crate::rt::{RtJoinHandle, Runtime};
 
 pub use music_simnet::combinators::{join_all, never, yield_now, Elapsed};
 
-/// Future returned by [`timeout`].
+/// Future returned by [`timeout`]. The `Sleep` is held inline
+/// (`Runtime::Sleep: Unpin`), so a timeout costs one allocation: its boxed
+/// future.
 pub struct Timeout<RT: Runtime, F> {
     future: Pin<Box<F>>,
-    sleep: Pin<Box<RT::Sleep>>,
+    sleep: RT::Sleep,
 }
 
 impl<RT: Runtime, F: Future> Future for Timeout<RT, F> {
@@ -29,7 +31,7 @@ impl<RT: Runtime, F: Future> Future for Timeout<RT, F> {
         if let Poll::Ready(v) = self.future.as_mut().poll(cx) {
             return Poll::Ready(Ok(v));
         }
-        match self.sleep.as_mut().poll(cx) {
+        match Pin::new(&mut self.sleep).poll(cx) {
             Poll::Ready(()) => Poll::Ready(Err(Elapsed)),
             Poll::Pending => Poll::Pending,
         }
@@ -44,7 +46,7 @@ impl<RT: Runtime, F: Future> Future for Timeout<RT, F> {
 pub fn timeout<RT: Runtime, F: Future>(rt: &RT, dur: SimDuration, future: F) -> Timeout<RT, F> {
     Timeout {
         future: Box::pin(future),
-        sleep: Box::pin(rt.sleep(dur)),
+        sleep: rt.sleep(dur),
     }
 }
 

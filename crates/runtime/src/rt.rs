@@ -43,8 +43,9 @@ pub trait RtJoinHandle<T>: Future<Output = T> + Unpin {
 /// everything is single-threaded and `!Send`-friendly by design — protocol
 /// state lives behind `Rc<RefCell<...>>` on both runtimes.
 pub trait Runtime: Clone + 'static {
-    /// Timer future returned by [`sleep`](Runtime::sleep).
-    type Sleep: Future<Output = ()> + 'static;
+    /// Timer future returned by [`sleep`](Runtime::sleep). `Unpin`, so
+    /// combinators can hold it inline instead of boxing it.
+    type Sleep: Future<Output = ()> + Unpin + 'static;
     /// Handle type returned by [`spawn`](Runtime::spawn).
     type JoinHandle<T: 'static>: RtJoinHandle<T> + 'static;
 

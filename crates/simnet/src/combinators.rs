@@ -24,10 +24,11 @@ impl std::fmt::Display for Elapsed {
 
 impl std::error::Error for Elapsed {}
 
-/// Future returned by [`timeout`].
+/// Future returned by [`timeout`]. The `Sleep` is held inline (it is
+/// `Unpin`), so a timeout costs one allocation: its boxed future.
 pub struct Timeout<F> {
     future: Pin<Box<F>>,
-    sleep: Pin<Box<Sleep>>,
+    sleep: Sleep,
 }
 
 impl<F: Future> Future for Timeout<F> {
@@ -36,7 +37,7 @@ impl<F: Future> Future for Timeout<F> {
         if let Poll::Ready(v) = self.future.as_mut().poll(cx) {
             return Poll::Ready(Ok(v));
         }
-        match self.sleep.as_mut().poll(cx) {
+        match Pin::new(&mut self.sleep).poll(cx) {
             Poll::Ready(()) => Poll::Ready(Err(Elapsed)),
             Poll::Pending => Poll::Pending,
         }
@@ -51,7 +52,7 @@ impl<F: Future> Future for Timeout<F> {
 pub fn timeout<F: Future>(sim: &Sim, dur: SimDuration, future: F) -> Timeout<F> {
     Timeout {
         future: Box::pin(future),
-        sleep: Box::pin(sim.sleep(dur)),
+        sleep: sim.sleep(dur),
     }
 }
 

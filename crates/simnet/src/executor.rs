@@ -8,6 +8,23 @@
 //! milliseconds, and — because scheduling is a pure function of spawn/wake
 //! order and timer deadlines — two runs with the same seed are identical.
 //!
+//! # Timers
+//!
+//! Replay rests on one ordering contract: timers fire in the total order
+//! of `(deadline, seq)`, where `seq` counts registrations, so timers with
+//! equal deadlines fire in registration order. A cancelled timer (a
+//! dropped [`Sleep`], the loser of a [`crate::combinators::timeout`])
+//! never fires and never moves the clock.
+//!
+//! The queue is a monotone radix queue over a slab of timer slots. A
+//! `Sleep` holds a `(slot, seq)` handle, so registering, firing and
+//! cancelling a timer allocate nothing, and a handle whose slot has been
+//! reused cancels nothing. Cancelled entries stay queued and are discarded
+//! when the queue reaches them. The queue's floor (the last deadline it
+//! fired) never exceeds the clock: it moves only to a deadline that fires,
+//! never to one a `run_until` horizon holds back or a cancelled one, so
+//! every timer registered later is filed at or above it.
+//!
 //! # Examples
 //!
 //! ```
@@ -27,8 +44,7 @@
 //! ```
 
 use std::cell::{Cell, RefCell};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
@@ -81,31 +97,196 @@ struct TaskSlot {
     span_tag: Cell<u64>,
 }
 
-struct TimerEntry {
-    deadline: SimTime,
+/// A registered timer: the slot that holds its waker plus the sequence
+/// number of the registration, which doubles as the slot's generation. A
+/// handle whose slot has since fired, been cancelled or been reused no
+/// longer matches the slot and cancels nothing.
+#[derive(Copy, Clone)]
+struct TimerHandle {
+    slot: u32,
     seq: u64,
-    waker: Waker,
-    /// Set when the owning `Sleep` is dropped before firing: the entry is
-    /// discarded **without advancing the clock**. Without cancellation, a
-    /// dropped timeout would still fast-forward virtual time at quiesce,
-    /// corrupting every makespan measurement.
-    cancelled: Rc<Cell<bool>>,
 }
 
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline && self.seq == other.seq
-    }
+/// One queued registration, 24 bytes. It is live while its slot is armed
+/// with the same `seq`; a cancelled entry stays queued until the queue
+/// reaches it and is then discarded without touching the clock.
+#[derive(Copy, Clone)]
+struct TimerEntry {
+    deadline: u64,
+    seq: u64,
+    slot: u32,
 }
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+
+struct TimerSlot {
+    seq: u64,
+    /// `Some` while the timer is pending (armed).
+    waker: Option<Waker>,
 }
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deadline, self.seq).cmp(&(other.deadline, other.seq))
+
+/// Radix buckets: 0 for entries at the floor, `b` for entries whose
+/// deadline first differs from the floor at bit `b - 1`.
+const BUCKETS: usize = 65;
+
+/// The executor's timers: a monotone radix queue of [`TimerEntry`]s over a
+/// slab of [`TimerSlot`]s. Entries pop in `(deadline, seq)` order, as from
+/// a binary heap on that key; registering, firing and cancelling allocate
+/// nothing once the vectors have grown.
+///
+/// Invariants:
+/// * every queued deadline is `>= floor`, and `floor <= now`: the floor
+///   only moves to a deadline that fires at once, never to one a horizon
+///   holds back or a cancelled one, so a timer registered later (always
+///   after `now`) cannot land below it;
+/// * every bucket is in `seq` order: a registration appends the largest
+///   `seq` yet, and a bucket is only redistributed into empty lower ones,
+///   in order. Equal deadlines share a bucket, so they fire in
+///   registration order.
+struct Timers {
+    floor: u64,
+    buckets: [Vec<TimerEntry>; BUCKETS],
+    /// Bit `b - 1` is set when bucket `b >= 1` is non-empty.
+    occupied: u64,
+    /// Next entry of bucket 0 to pop.
+    head: usize,
+    slots: Vec<TimerSlot>,
+    free: Vec<u32>,
+    next_seq: u64,
+    /// Armed slots: timers registered and neither fired nor cancelled.
+    pending: usize,
+}
+
+fn bucket_of(deadline: u64, floor: u64) -> usize {
+    (u64::BITS - (deadline ^ floor).leading_zeros()) as usize
+}
+
+impl Timers {
+    fn new() -> Self {
+        Timers {
+            floor: 0,
+            // Room for a few entries in every bucket up front, so that a
+            // sparse load never allocates when it first reaches a bucket.
+            buckets: std::array::from_fn(|_| Vec::with_capacity(4)),
+            occupied: 0,
+            head: 0,
+            slots: Vec::new(),
+            free: Vec::new(),
+            next_seq: 0,
+            pending: 0,
+        }
+    }
+
+    fn is_live(slots: &[TimerSlot], e: &TimerEntry) -> bool {
+        let slot = &slots[e.slot as usize];
+        slot.seq == e.seq && slot.waker.is_some()
+    }
+
+    fn push(&mut self, e: TimerEntry) {
+        let b = bucket_of(e.deadline, self.floor);
+        if b > 0 {
+            self.occupied |= 1 << (b - 1);
+        }
+        self.buckets[b].push(e);
+    }
+
+    fn insert(&mut self, deadline: SimTime, waker: Waker) -> TimerHandle {
+        let deadline = deadline.as_micros();
+        debug_assert!(deadline >= self.floor, "timer filed below the floor");
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let armed = TimerSlot {
+            seq,
+            waker: Some(waker),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = armed;
+                slot
+            }
+            None => {
+                self.slots.push(armed);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.pending += 1;
+        self.push(TimerEntry {
+            deadline,
+            seq,
+            slot,
+        });
+        TimerHandle { slot, seq }
+    }
+
+    /// Takes the waker out of an armed slot and frees the slot.
+    fn disarm(&mut self, slot: u32) -> Option<Waker> {
+        let waker = self.slots[slot as usize].waker.take()?;
+        self.free.push(slot);
+        self.pending -= 1;
+        Some(waker)
+    }
+
+    /// Disarms `h`'s slot if `h` is still pending, returning its waker (to
+    /// be dropped outside the executor's borrow).
+    fn cancel(&mut self, h: TimerHandle) -> Option<Waker> {
+        if self.slots[h.slot as usize].seq != h.seq {
+            return None;
+        }
+        self.disarm(h.slot)
+    }
+
+    fn will_wake(&self, h: TimerHandle, waker: &Waker) -> bool {
+        let slot = &self.slots[h.slot as usize];
+        slot.seq == h.seq && slot.waker.as_ref().is_some_and(|w| w.will_wake(waker))
+    }
+
+    /// Removes the earliest live timer if its deadline is `<= horizon`,
+    /// returning its deadline and waker. Cancelled entries met on the way
+    /// are discarded; the floor never moves past a timer that does not fire.
+    fn pop_due(&mut self, horizon: u64) -> Option<(u64, Waker)> {
+        loop {
+            while let Some(&e) = self.buckets[0].get(self.head) {
+                self.head += 1;
+                if Self::is_live(&self.slots, &e) {
+                    debug_assert!(e.deadline <= horizon, "floor beyond the horizon");
+                    return self.disarm(e.slot).map(|w| (e.deadline, w));
+                }
+            }
+            self.buckets[0].clear();
+            self.head = 0;
+            if self.occupied == 0 {
+                return None;
+            }
+            // The lowest non-empty bucket holds the earliest deadlines.
+            let b = self.occupied.trailing_zeros() as usize + 1;
+            let bit = 1 << (b - 1);
+            self.occupied &= !bit;
+            let mut entries = std::mem::take(&mut self.buckets[b]);
+            let slots = &self.slots;
+            let mut min = None::<u64>;
+            entries.retain(|e| {
+                let live = Self::is_live(slots, e);
+                if live {
+                    min = Some(min.map_or(e.deadline, |m| m.min(e.deadline)));
+                }
+                live
+            });
+            match min {
+                Some(m) if m > horizon => {
+                    self.occupied |= bit;
+                    self.buckets[b] = entries;
+                    return None;
+                }
+                Some(m) => {
+                    self.floor = m;
+                    // Every entry moves to a lower bucket, which is empty:
+                    // the in-order drain keeps each bucket in `seq` order.
+                    for e in entries.drain(..) {
+                        self.push(e);
+                    }
+                }
+                None => {}
+            }
+            self.buckets[b] = entries;
+        }
     }
 }
 
@@ -114,8 +295,7 @@ struct Inner {
     ready: ReadyQueue,
     tasks: RefCell<Vec<Option<Rc<TaskSlot>>>>,
     free: RefCell<Vec<TaskId>>,
-    timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
-    timer_seq: Cell<u64>,
+    timers: RefCell<Timers>,
     live: Cell<usize>,
     /// Trace tag of the code currently running (the polled task's tag, or
     /// the ambient tag between polls). Purely observational bookkeeping —
@@ -144,6 +324,10 @@ struct ProfileCells {
 /// schedule, so profiles replay byte-identically for a fixed seed; pair
 /// them with a wall-clock measurement around [`Sim::run`] to get
 /// events-per-wall-second (the ROADMAP item 1 baseline).
+///
+/// The timer counters do not depend on how the queue discards cancelled
+/// entries: after any run, `timers_set == timers_fired + timers_cancelled +`
+/// [`Sim::pending_timers`].
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecutorProfile {
     /// Tasks ever spawned.
@@ -154,11 +338,14 @@ pub struct ExecutorProfile {
     pub timers_set: u64,
     /// Timers that fired and advanced (or held) the clock.
     pub timers_fired: u64,
-    /// Timers cancelled before firing (dropped `Sleep`s, timeout losers).
+    /// Timers cancelled before firing, counted when it happens: a `Sleep`
+    /// dropped (timeout losers) or re-registered for a new waker while its
+    /// timer is pending.
     pub timers_cancelled: u64,
     /// High-water mark of the ready queue (scheduler burst width).
     pub max_ready_queue: u64,
-    /// High-water mark of the timer heap (pending-timeout pressure).
+    /// High-water mark of pending timers, registered and neither fired nor
+    /// cancelled (pending-timeout pressure).
     pub max_timer_heap: u64,
 }
 
@@ -210,8 +397,7 @@ impl Sim {
                 ready: Arc::new(Mutex::new(VecDeque::new())),
                 tasks: RefCell::new(Vec::new()),
                 free: RefCell::new(Vec::new()),
-                timers: RefCell::new(BinaryHeap::new()),
-                timer_seq: Cell::new(0),
+                timers: RefCell::new(Timers::new()),
                 live: Cell::new(0),
                 current_trace: Cell::new(0),
                 current_span: Cell::new(0),
@@ -365,24 +551,30 @@ impl Sim {
         JoinHandle { state }
     }
 
-    /// Registers `waker` to fire at `deadline`, returning a cancellation
-    /// flag. Used by [`Sleep`].
-    pub(crate) fn register_timer(&self, deadline: SimTime, waker: Waker) -> Rc<Cell<bool>> {
-        let seq = self.inner.timer_seq.get();
-        self.inner.timer_seq.set(seq + 1);
-        let cancelled = Rc::new(Cell::new(false));
+    /// Timers registered and neither fired nor cancelled yet (see
+    /// [`ExecutorProfile`]).
+    pub fn pending_timers(&self) -> usize {
+        self.inner.timers.borrow().pending
+    }
+
+    /// Registers `waker` to fire at `deadline`. Used by [`Sleep`].
+    fn register_timer(&self, deadline: SimTime, waker: Waker) -> TimerHandle {
         let mut timers = self.inner.timers.borrow_mut();
-        timers.push(Reverse(TimerEntry {
-            deadline,
-            seq,
-            waker,
-            cancelled: Rc::clone(&cancelled),
-        }));
+        let handle = timers.insert(deadline, waker);
         let p = &self.inner.profile;
         p.timers_set.set(p.timers_set.get() + 1);
         p.max_timer_heap
-            .set(p.max_timer_heap.get().max(timers.len() as u64));
-        cancelled
+            .set(p.max_timer_heap.get().max(timers.pending as u64));
+        handle
+    }
+
+    /// Cancels `h` if it is still pending; a stale handle cancels nothing.
+    fn cancel_timer(&self, h: TimerHandle) {
+        let waker = self.inner.timers.borrow_mut().cancel(h);
+        if waker.is_some() {
+            let p = &self.inner.profile;
+            p.timers_cancelled.set(p.timers_cancelled.get() + 1);
+        }
     }
 
     /// Returns a future that completes after `dur` of virtual time.
@@ -395,7 +587,7 @@ impl Sim {
         Sleep {
             sim: self.clone(),
             deadline,
-            registration: None,
+            timer: None,
         }
     }
 
@@ -403,7 +595,7 @@ impl Sim {
     /// `deadline`. Through a drifted handle the deadline is interpreted on
     /// the node-local clock and converted to true time at call site (the
     /// remaining local wait is taken at face value), so the timer itself
-    /// still rides the true-time heap.
+    /// still rides the true-time queue.
     pub fn sleep_until(&self, deadline: SimTime) -> Sleep {
         let deadline = match &self.skew {
             Some(_) => self.true_now() + deadline.saturating_since(self.now()),
@@ -412,7 +604,7 @@ impl Sim {
         Sleep {
             sim: self.clone(),
             deadline,
-            registration: None,
+            timer: None,
         }
     }
 
@@ -468,29 +660,15 @@ impl Sim {
         }
         // No runnable tasks: advance the clock to the next *live* timer,
         // silently discarding cancelled entries (they must not move time).
-        let entry = {
-            let mut timers = self.inner.timers.borrow_mut();
-            loop {
-                match timers.peek() {
-                    Some(Reverse(e)) if e.cancelled.get() => {
-                        timers.pop();
-                        let p = &self.inner.profile;
-                        p.timers_cancelled.set(p.timers_cancelled.get() + 1);
-                    }
-                    Some(Reverse(e)) if e.deadline <= horizon => {
-                        break timers.pop().map(|Reverse(e)| e);
-                    }
-                    _ => break None,
-                }
-            }
-        };
-        match entry {
-            Some(e) => {
-                debug_assert!(e.deadline >= self.inner.now.get(), "time went backwards");
-                self.inner.now.set(e.deadline.max(self.inner.now.get()));
+        let due = self.inner.timers.borrow_mut().pop_due(horizon.as_micros());
+        match due {
+            Some((deadline, waker)) => {
+                let deadline = SimTime::from_micros(deadline);
+                debug_assert!(deadline >= self.inner.now.get(), "time went backwards");
+                self.inner.now.set(deadline.max(self.inner.now.get()));
                 let p = &self.inner.profile;
                 p.timers_fired.set(p.timers_fired.get() + 1);
-                e.waker.wake();
+                waker.wake();
                 true
             }
             None => polled_any,
@@ -605,7 +783,7 @@ impl<T> Future for JoinHandle<T> {
 pub struct Sleep {
     sim: Sim,
     deadline: SimTime,
-    registration: Option<(Rc<Cell<bool>>, Waker)>,
+    timer: Option<TimerHandle>,
 }
 
 impl Future for Sleep {
@@ -614,25 +792,23 @@ impl Future for Sleep {
         // The deadline was resolved to true time at creation; comparing
         // against the skewed clock here would double-apply the drift.
         if self.sim.true_now() >= self.deadline {
-            // Fired (or created in the past): nothing left to cancel.
-            self.registration = None;
+            // Fired, or created in the past. A registration still pending
+            // (another timer at this instant moved the clock first) is left
+            // to fire: its wake is part of the schedule.
+            self.timer = None;
             Poll::Ready(())
         } else {
             // (Re-)register when unregistered or when the task's waker
-            // changed since the last poll — the heap entry holds the old
+            // changed since the last poll — the pending timer holds the old
             // waker and would otherwise wake the wrong task.
-            let needs_registration = match &self.registration {
-                None => true,
-                Some((_, registered)) => !registered.will_wake(cx.waker()),
-            };
-            if needs_registration {
-                if let Some((old, _)) = self.registration.take() {
-                    old.set(true); // cancel the stale entry
+            let current = self
+                .timer
+                .is_some_and(|h| self.sim.inner.timers.borrow().will_wake(h, cx.waker()));
+            if !current {
+                if let Some(old) = self.timer.take() {
+                    self.sim.cancel_timer(old);
                 }
-                let deadline = self.deadline;
-                let waker = cx.waker().clone();
-                let flag = self.sim.register_timer(deadline, waker.clone());
-                self.registration = Some((flag, waker));
+                self.timer = Some(self.sim.register_timer(self.deadline, cx.waker().clone()));
             }
             Poll::Pending
         }
@@ -641,8 +817,8 @@ impl Future for Sleep {
 
 impl Drop for Sleep {
     fn drop(&mut self) {
-        if let Some((flag, _)) = self.registration.take() {
-            flag.set(true);
+        if let Some(h) = self.timer.take() {
+            self.sim.cancel_timer(h);
         }
     }
 }
@@ -1000,5 +1176,62 @@ mod tests {
         }
         sim.run();
         assert_eq!(*order.borrow(), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn timer_counters_balance_after_any_run() {
+        let sim = Sim::new();
+        let balanced = |sim: &Sim| {
+            let p = sim.profile();
+            p.timers_set == p.timers_fired + p.timers_cancelled + sim.pending_timers() as u64
+        };
+        for i in 0..6u64 {
+            let s = sim.clone();
+            sim.spawn(async move {
+                // The inner sleep wins, so the 1 s timeout is cancelled
+                // while its entry is still queued far ahead of the clock.
+                let inner = s.sleep(SimDuration::from_millis(i + 1));
+                let _ = crate::combinators::timeout(&s, SimDuration::from_secs(1), inner).await;
+                s.sleep(SimDuration::from_secs(5)).await;
+            });
+        }
+        assert!(balanced(&sim));
+        sim.run_until(SimTime::from_micros(3_000));
+        assert!(balanced(&sim));
+        let p = sim.profile();
+        assert_eq!((p.timers_set, p.timers_fired), (14, 3));
+        // Counted when dropped, not when the queue reaches the entry.
+        assert_eq!(p.timers_cancelled, 2);
+        assert_eq!(sim.pending_timers(), 9);
+        // Only live timers count towards the high-water mark.
+        assert_eq!(p.max_timer_heap, 12);
+        sim.run();
+        assert!(balanced(&sim));
+        let p = sim.profile();
+        assert_eq!(
+            (p.timers_set, p.timers_fired, p.timers_cancelled),
+            (18, 12, 6)
+        );
+        assert_eq!(sim.pending_timers(), 0);
+    }
+
+    #[test]
+    fn a_stale_handle_cancels_nothing_after_its_slot_is_reused() {
+        let sim = Sim::new();
+        let stale = sim.register_timer(SimTime::from_micros(10), Waker::noop().clone());
+        sim.run();
+        let fresh = sim.register_timer(SimTime::from_micros(20), Waker::noop().clone());
+        assert_eq!(fresh.slot, stale.slot, "the fired timer's slot is reused");
+        sim.cancel_timer(stale);
+        assert_eq!(sim.pending_timers(), 1);
+        sim.run();
+        assert_eq!(sim.now(), SimTime::from_micros(20));
+        let p = sim.profile();
+        assert_eq!((p.timers_fired, p.timers_cancelled), (2, 0));
+    }
+
+    #[test]
+    fn timer_entries_are_24_bytes() {
+        assert_eq!(std::mem::size_of::<TimerEntry>(), 24);
     }
 }

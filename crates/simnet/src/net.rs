@@ -28,7 +28,7 @@
 //! observes. Callers recover with [`crate::combinators::timeout`].
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::rc::Rc;
 
 use rand::rngs::SmallRng;
@@ -122,7 +122,9 @@ struct Inner {
     cut_links: RefCell<HashSet<(NodeId, NodeId)>>,
     rng: RefCell<SmallRng>,
     stats: RefCell<NetStats>,
-    link_stats: RefCell<BTreeMap<(NodeId, NodeId), LinkStats>>,
+    /// Per-directed-link counters, `link_stats[from][to]`: a dense
+    /// `nodes × nodes` table that [`Network::add_node`] grows.
+    link_stats: RefCell<Vec<Vec<LinkStats>>>,
     recorder: RefCell<Recorder>,
 }
 
@@ -164,7 +166,7 @@ impl Network {
                 cut_links: RefCell::new(HashSet::new()),
                 rng: RefCell::new(SmallRng::seed_from_u64(seed)),
                 stats: RefCell::new(NetStats::default()),
-                link_stats: RefCell::new(BTreeMap::new()),
+                link_stats: RefCell::new(Vec::new()),
                 recorder: RefCell::new(Recorder::off()),
             }),
         }
@@ -198,6 +200,11 @@ impl Network {
             busy_until: SimTime::ZERO,
             service_mult: 1.0,
         });
+        let mut links = self.inner.link_stats.borrow_mut();
+        for row in links.iter_mut() {
+            row.push(LinkStats::default());
+        }
+        links.push(vec![LinkStats::default(); nodes.len()]);
         NodeId(nodes.len() as u32 - 1)
     }
 
@@ -348,7 +355,8 @@ impl Network {
         self.inner
             .link_stats
             .borrow()
-            .get(&(from, to))
+            .get(from.0 as usize)
+            .and_then(|row| row.get(to.0 as usize))
             .copied()
             .unwrap_or_default()
     }
@@ -356,12 +364,18 @@ impl Network {
     /// Statistics of every directed link that carried traffic, sorted by
     /// `(from, to)` — a deterministic snapshot.
     pub fn all_link_stats(&self) -> Vec<((NodeId, NodeId), LinkStats)> {
-        self.inner
-            .link_stats
-            .borrow()
-            .iter()
-            .map(|(&k, &v)| (k, v))
-            .collect()
+        let links = self.inner.link_stats.borrow();
+        let mut out = Vec::new();
+        for (from, row) in links.iter().enumerate() {
+            for (to, stats) in row.iter().enumerate() {
+                // Every message bumps `sent` first: a link with none never
+                // carried traffic.
+                if stats.sent > 0 {
+                    out.push(((NodeId(from as u32), NodeId(to as u32)), *stats));
+                }
+            }
+        }
+        out
     }
 
     /// Installs a telemetry recorder; all subsequent traffic emits events
@@ -376,8 +390,8 @@ impl Network {
     }
 
     fn link(&self, from: NodeId, to: NodeId) -> std::cell::RefMut<'_, LinkStats> {
-        std::cell::RefMut::map(self.inner.link_stats.borrow_mut(), |m| {
-            m.entry((from, to)).or_default()
+        std::cell::RefMut::map(self.inner.link_stats.borrow_mut(), |links| {
+            &mut links[from.0 as usize][to.0 as usize]
         })
     }
 
