@@ -403,8 +403,9 @@ impl<Tbl: TableApi<LockPartition>> LockStore<Tbl> {
         Ok(snap.head())
     }
 
-    /// Queue heads of **all** keys at the closest replica, in one range
-    /// scan (monitoring sweeps / failure detection). The view may be
+    /// Queue heads of **all** keys that have one, sorted by key, at the
+    /// closest replica, in one range scan (monitoring sweeps / failure
+    /// detection). Headless keys cost the reply nothing. The view may be
     /// stale, exactly like a per-key [`LockStore::peek_local`].
     ///
     /// # Errors
@@ -414,11 +415,9 @@ impl<Tbl: TableApi<LockPartition>> LockStore<Tbl> {
         &self,
         coord: NodeId,
     ) -> Result<Vec<(String, LockRef, LockEntry)>, StoreError> {
-        let rows = self.table.scan_local(coord, |p| p.head()).await?;
-        Ok(rows
-            .into_iter()
-            .filter_map(|(k, head)| head.map(|(r, e)| (k, r, e)))
-            .collect())
+        // Headless partitions are dropped at the replica.
+        let rows = self.table.scan_local(coord, LockPartition::head).await?;
+        Ok(rows.into_iter().map(|(k, (r, e))| (k, r, e)).collect())
     }
 
     /// Full queue (ascending) from the closest replica — `getAllKeys`-style

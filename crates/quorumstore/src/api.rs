@@ -95,7 +95,7 @@ pub trait TableApi<P: Partition>: Clone + fmt::Debug + 'static {
     async fn scan_local<R: 'static>(
         &self,
         coord: NodeId,
-        extract: impl Fn(&P) -> R + 'static,
+        extract: impl Fn(&P) -> Option<R> + 'static,
     ) -> Result<Vec<(String, R)>, StoreError>;
 }
 
@@ -164,7 +164,7 @@ impl<P: Partition, L: ReplicaLink<P>> TableApi<P> for Table<P, L> {
     async fn scan_local<R: 'static>(
         &self,
         coord: NodeId,
-        extract: impl Fn(&P) -> R + 'static,
+        extract: impl Fn(&P) -> Option<R> + 'static,
     ) -> Result<Vec<(String, R)>, StoreError> {
         Table::scan_local(self, coord, extract).await
     }

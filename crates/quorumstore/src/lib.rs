@@ -64,7 +64,7 @@ pub mod table;
 
 pub use api::TableApi;
 pub use error::StoreError;
-pub use link::{ReplicaLink, SimLink, WireLink};
+pub use link::{ReplicaLink, SimLink, WireLink, SCAN_ROW_BYTES};
 pub use partition::{DataRow, Partition, Put, RowSnapshot, HEADER_BYTES};
 pub use remote::{serve_frame, RemoteTable};
 pub use replica::{Proposal, StoreReq, StoreResp, TableReplica};

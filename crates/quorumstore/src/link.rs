@@ -46,8 +46,10 @@ pub const RPC_ATTEMPTS: u32 = 10;
 /// How long one fan-out attempt may take before the next is sent.
 pub const RPC_RETRY_AFTER: SimDuration = SimDuration::from_secs(2);
 
-/// Modelled size of one scanned row.
-const SCAN_ROW_BYTES: usize = 32;
+/// Modelled size of one scanned row. A [`SimLink`] scan reply is charged
+/// this for every live partition, whether the extractor kept its row or
+/// not.
+pub const SCAN_ROW_BYTES: usize = 32;
 
 /// One replica as the coordinator names it: its index in the table's node
 /// list and its node id.
@@ -83,13 +85,13 @@ pub trait ReplicaLink<P: Partition>: Clone + 'static {
         req: StoreReq<P>,
     ) -> Result<StoreResp<P>, StoreError>;
 
-    /// Single-attempt range scan: `extract` of every live partition at
-    /// `to`, sorted by key.
+    /// Single-attempt range scan: the rows `extract` keeps (`Some`) of
+    /// every live partition at `to`, sorted by key.
     async fn scan<R: 'static>(
         &self,
         coord: NodeId,
         to: ReplicaAddr,
-        extract: impl Fn(&P) -> R + 'static,
+        extract: impl Fn(&P) -> Option<R> + 'static,
     ) -> Result<Vec<(String, R)>, StoreError>;
 }
 
@@ -205,18 +207,17 @@ impl<P: Partition> ReplicaLink<P> for SimLink<P> {
             .await)
     }
 
-    /// The extractor runs at the replica, so only the extracted rows are
-    /// charged to the network.
+    /// The extractor runs at the replica and drops `None` rows there; the
+    /// reply is still charged one [`SCAN_ROW_BYTES`] per live partition.
     async fn scan<R: 'static>(
         &self,
         coord: NodeId,
         (idx, node): ReplicaAddr,
-        extract: impl Fn(&P) -> R + 'static,
+        extract: impl Fn(&P) -> Option<R> + 'static,
     ) -> Result<Vec<(String, R)>, StoreError> {
         let handler = || {
-            let rows = self.replicas[idx].borrow().scan(extract);
-            let bytes = HEADER_BYTES + rows.len() * SCAN_ROW_BYTES;
-            (rows, bytes)
+            let (rows, live) = self.replicas[idx].borrow().scan(extract);
+            (rows, HEADER_BYTES + live * SCAN_ROW_BYTES)
         };
         Ok(self.net.rpc(coord, node, HEADER_BYTES, handler).await)
     }
@@ -297,15 +298,19 @@ where
     }
 
     /// The extractor cannot cross a socket: the replica ships whole
-    /// partitions (as a real range query returns rows) and it runs here.
+    /// partitions (as a real range query returns rows), and it runs and
+    /// drops `None` rows here.
     async fn scan<R: 'static>(
         &self,
         coord: NodeId,
         to: ReplicaAddr,
-        extract: impl Fn(&P) -> R + 'static,
+        extract: impl Fn(&P) -> Option<R> + 'static,
     ) -> Result<Vec<(String, R)>, StoreError> {
         match self.call(coord, to, StoreReq::Scan).await? {
-            StoreResp::Rows(rows) => Ok(rows.into_iter().map(|(k, p)| (k, extract(&p))).collect()),
+            StoreResp::Rows(rows) => Ok(rows
+                .into_iter()
+                .filter_map(|(k, p)| extract(&p).map(|r| (k, r)))
+                .collect()),
             _ => Err(StoreError::Unavailable),
         }
     }

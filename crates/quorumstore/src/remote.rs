@@ -412,7 +412,7 @@ mod tests {
             let keys = t.list_keys_local(client).await.unwrap();
             assert_eq!(keys, vec!["a".to_string(), "b".to_string()]);
             let rows = t
-                .scan_local(client, |p: &DataRow| p.snapshot().value)
+                .scan_local(client, |p: &DataRow| Some(p.snapshot().value))
                 .await
                 .unwrap();
             assert_eq!(rows.len(), 2);

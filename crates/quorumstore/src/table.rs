@@ -619,9 +619,10 @@ impl<P: Partition, L: ReplicaLink<P>> Table<P, L> {
     }
 
     /// Range scan at one replica: applies `extract` to every live
-    /// partition and returns the `(key, value)` pairs in one round trip
-    /// (Cassandra range query at CL=ONE). Used by monitoring sweeps (the
-    /// failure detector) that would otherwise issue one RPC per key.
+    /// partition and returns, sorted by key, the `(key, value)` pairs of
+    /// the rows it keeps (`Some`), in one round trip (Cassandra range query
+    /// at CL=ONE with a row filter). Used by monitoring sweeps (the failure
+    /// detector) that would otherwise issue one RPC per key.
     ///
     /// # Errors
     ///
@@ -629,7 +630,7 @@ impl<P: Partition, L: ReplicaLink<P>> Table<P, L> {
     pub async fn scan_local<R: 'static>(
         &self,
         coord: NodeId,
-        extract: impl Fn(&P) -> R + 'static,
+        extract: impl Fn(&P) -> Option<R> + 'static,
     ) -> Result<Vec<(String, R)>, StoreError> {
         let scan = self
             .inner

@@ -17,7 +17,8 @@ use std::rc::Rc;
 use bytes::Bytes;
 use music_quorumstore::{
     serve_frame, DataRow, Partition, Put, RemoteTable, ReplicaLink, ReplicatedTable, RowSnapshot,
-    SimLink, StoreError, Table, TableConfig, TableReplica, WireLink, WriteStamp,
+    SimLink, StoreError, Table, TableConfig, TableReplica, WireLink, WriteStamp, HEADER_BYTES,
+    SCAN_ROW_BYTES,
 };
 use music_runtime::SimTransport;
 use music_simnet::prelude::*;
@@ -442,11 +443,15 @@ fn scan_local_lists_live_rows_in_order<L: ReplicaLink<DataRow>>(
 ) {
     let f = mk(quiet(), Recorder::off());
     let (table, client) = (f.table.clone(), f.clients[0]);
-    let table2 = f.table.clone();
     f.sim.block_on(async move {
-        for key in ["cherry", "apple", "banana"] {
+        for (key, value) in [
+            ("cherry", "x"),
+            ("apple", "x"),
+            ("date", "skip"),
+            ("banana", "x"),
+        ] {
             table
-                .write_quorum(client, key, Put::value(b("x")), WriteStamp::new(1))
+                .write_quorum(client, key, Put::value(b(value)), WriteStamp::new(1))
                 .await
                 .unwrap();
         }
@@ -457,18 +462,27 @@ fn scan_local_lists_live_rows_in_order<L: ReplicaLink<DataRow>>(
             .unwrap();
     });
     f.sim.run();
-    let rows = f.sim.block_on(async move {
-        table2
-            .scan_local(f.clients[0], |p: &DataRow| p.snapshot().value)
-            .await
-            .unwrap()
-    });
-    let keys: Vec<&str> = rows.iter().map(|(k, _)| k.as_str()).collect();
+    let scan = |keep: fn(&DataRow) -> Option<Bytes>| {
+        let table = f.table.clone();
+        let rows = f
+            .sim
+            .block_on(async move { table.scan_local(client, keep).await.unwrap() });
+        rows.into_iter()
+            .map(|(k, v)| (k, String::from_utf8(v.to_vec()).unwrap()))
+            .collect::<Vec<_>>()
+    };
+    let row = |k: &str, v: &str| (k.to_string(), v.to_string());
     assert_eq!(
-        keys,
-        vec!["banana", "cherry"],
+        scan(|p| p.snapshot().value),
+        vec![row("banana", "x"), row("cherry", "x"), row("date", "skip")],
         "sorted, tombstones excluded"
     );
+    // The extractor may drop live rows too; the rest keep their order.
+    assert_eq!(
+        scan(|p| p.snapshot().value.filter(|v| v.as_ref() != b"skip")),
+        vec![row("banana", "x"), row("cherry", "x")],
+    );
+    assert_eq!(scan(|_| None), vec![]);
 }
 
 fn transient_partition_only_delays_propagation<L: ReplicaLink<DataRow>>(
@@ -599,6 +613,57 @@ fn anti_entropy_tolerates_a_down_replica<L: ReplicaLink<DataRow>>(
         let _ = repaired; // divergence depends on straggler timing; key point: no error
         net.set_node_up(s1, true);
     });
+}
+
+/// The simulator link filters at the replica but charges the reply for
+/// every live partition, kept or not: the byte model the schedule rests on.
+#[test]
+fn sim_link_scan_is_charged_for_every_live_row() {
+    let f = sim_fixture(quiet(), Recorder::off());
+    let (table, client) = (f.table.clone(), f.clients[0]);
+    f.sim.block_on(async move {
+        for (i, key) in ["a", "b", "c", "d"].into_iter().enumerate() {
+            let value = if i % 2 == 0 { "keep" } else { "drop" };
+            table
+                .write_quorum(client, key, Put::value(b(value)), WriteStamp::new(1))
+                .await
+                .unwrap();
+        }
+    });
+    f.sim.run();
+    let live = 4;
+    // The client's nearest replica is the store node at its own site.
+    let (replica, net) = (f.store_nodes[0], f.net.clone());
+    let bytes = move || {
+        (
+            net.link_stats(client, replica).bytes,
+            net.link_stats(replica, client).bytes,
+        )
+    };
+    type Keep = fn(&DataRow) -> Option<()>;
+    let scans: [(Keep, usize); 3] = [
+        (|_| Some(()), 4),
+        (
+            |p| (p.snapshot().value.as_deref() == Some(b"keep")).then_some(()),
+            2,
+        ),
+        (|_| None, 0),
+    ];
+    for (keep, kept) in scans {
+        let (table, bytes) = (f.table.clone(), bytes.clone());
+        let (before, rows, after) = f.sim.block_on(async move {
+            let before = bytes();
+            let rows = table.scan_local(client, keep).await.unwrap();
+            (before, rows, bytes())
+        });
+        assert_eq!(rows.len(), kept);
+        assert_eq!(after.0 - before.0, HEADER_BYTES as u64, "request");
+        assert_eq!(
+            after.1 - before.1,
+            (HEADER_BYTES + live * SCAN_ROW_BYTES) as u64,
+            "reply of a scan keeping {kept} of {live} rows"
+        );
+    }
 }
 
 #[test]
