@@ -35,7 +35,7 @@ use bytes::Bytes;
 use music::node::{remote_client, LoadConfig, RemoteMusicClient, CLIENT_ID_BASE};
 use music::{MusicConfig, MusicError, PeekMode};
 use music_runtime::prelude::SimDuration;
-use music_runtime::{NativeRuntime, Runtime};
+use music_runtime::NativeRuntime;
 use music_telemetry::{OnlineConfig, Recorder};
 use music_workload::Zipfian;
 use rand::rngs::SmallRng;

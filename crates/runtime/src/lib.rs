@@ -2,17 +2,17 @@
 //!
 //! The MUSIC protocol crates (`music`, `music-quorumstore`,
 //! `music-lockstore`) are generic over the [`Runtime`] trait defined here:
-//! a clock, timers, task spawning, and per-task telemetry tags. Two
-//! implementations exist:
+//! a clock, timers, task spawning, and per-task telemetry tags. Its one
+//! implementation is the `music-simnet` executor, over either of two
+//! clocks:
 //!
-//! * [`SimRuntime`] — the deterministic `music-simnet` executor (an alias:
-//!   `Sim` implements [`Runtime`] directly, so every existing test, nemesis
-//!   schedule, and BENCH artifact runs unchanged, byte-for-byte);
-//! * [`NativeRuntime`] — a real-time executor over `std::time` + OS
-//!   threads, paired with [`TcpTransport`] for length-prefixed frames over
-//!   real sockets. (The workspace builds offline from vendored crates — no
-//!   tokio — so this is a minimal hand-rolled executor with the same task
-//!   semantics as the simulator's.)
+//! * [`SimRuntime`] — `Sim`, the executor over virtual time, on which every
+//!   test, nemesis schedule, and BENCH artifact runs byte-for-byte;
+//! * [`NativeRuntime`] — the executor over a wall clock, paired with
+//!   [`TcpTransport`] for length-prefixed frames over real sockets. (The
+//!   workspace builds offline from vendored crates — no tokio.) Tasks,
+//!   wakeups, timers and join handles are one code path on both runtimes;
+//!   only the clock, and what an idle executor does, differ.
 //!
 //! [`Transport`] is the messaging sub-trait: typed request/response between
 //! named nodes, implemented by [`SimTransport`] (payloads ride the
@@ -62,7 +62,7 @@ pub mod transport;
 pub mod wire;
 
 pub use combinators::{join_all, never, quorum, timeout, yield_now, Elapsed};
-pub use native::{NativeJoinHandle, NativeRuntime, NativeSleep};
+pub use native::NativeRuntime;
 pub use rt::{RtJoinHandle, Runtime, SimRuntime};
 pub use sim_transport::SimTransport;
 pub use tcp::{TcpServer, TcpServerHandle, TcpTransport};

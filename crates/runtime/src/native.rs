@@ -1,116 +1,41 @@
-//! [`NativeRuntime`]: a single-threaded real-time executor over `std::time`
+//! [`NativeRuntime`]: the executor over a wall clock, for real sockets
 //! and OS threads.
 //!
-//! This is the production side of the runtime split. The workspace builds
-//! hermetically from vendored crates (no registry, no tokio), so instead of
-//! binding to an external async runtime the native runtime is a minimal
-//! hand-rolled executor with the same shape as the simulator's: a ready
-//! queue of tasks, a timer heap, and `Rc`-based join handles. The
-//! differences are exactly the ones that matter for production:
+//! This is the production side of the runtime split. It is
+//! [`music_simnet::executor::Executor`], the same task slab, ready queue,
+//! timers, `Sleep` and `JoinHandle` the simulator runs; only the
+//! [`Clock`] differs, and with it what the executor does when idle:
 //!
 //! * the clock is wall time (microseconds since the UNIX epoch, monotonic
 //!   after process start), not virtual time;
-//! * an idle executor *blocks* on a condition variable until the next timer
-//!   or an external wake, instead of advancing the clock;
-//! * wakers are `Send + Sync`, so socket reader threads (see
-//!   [`crate::tcp`]) can wake tasks from outside the executor thread.
+//! * an idle executor fires every due timer, then *parks* its thread until
+//!   the next live deadline or an external wake, instead of advancing the
+//!   clock. A dropped timer is disarmed at once, so it never wakes it;
+//! * a waker unparks the executor's thread after queueing its task, so
+//!   socket reader threads (see [`crate::tcp`]) can wake tasks from outside
+//!   the executor thread. On a running executor an unpark only sets a token.
 //!
 //! Protocol state stays single-threaded (`Rc<RefCell<...>>`) on the
 //! executor thread, exactly as under the simulator — IO threads only move
 //! bytes and wake tasks.
 
-use std::cell::{Cell, RefCell};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use std::future::Future;
-use std::pin::Pin;
-use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant, SystemTime};
 
-use music_simnet::time::{SimDuration, SimTime};
+use music_simnet::executor::{Clock, Executor};
+use music_simnet::time::SimTime;
 
-use crate::rt::{RtJoinHandle, Runtime};
+/// The real-time runtime: see the module docs. `NativeRuntime::new()`
+/// binds it to the calling thread, which must be the one that drives it
+/// (`block_on`, `turn`); like the simulator it is `!Send`.
+pub type NativeRuntime = Executor<WallClock>;
 
-/// Cross-thread wake state: the ready queue plus a condvar the executor
-/// parks on when idle.
-pub(crate) struct Shared {
-    ready: Mutex<VecDeque<usize>>,
-    idle: Condvar,
-}
+/// Longest the idle executor parks before re-checking external conditions
+/// (shutdown flags set by IO threads that wake no task).
+const MAX_PARK: Duration = Duration::from_millis(50);
 
-impl Shared {
-    fn push(&self, id: usize) {
-        self.ready
-            .lock()
-            .expect("ready queue poisoned")
-            .push_back(id);
-        self.idle.notify_one();
-    }
-}
-
-struct NativeWaker {
-    id: usize,
-    queued: AtomicBool,
-    shared: Arc<Shared>,
-}
-
-impl Wake for NativeWaker {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
-    fn wake_by_ref(self: &Arc<Self>) {
-        if !self.queued.swap(true, Ordering::AcqRel) {
-            self.shared.push(self.id);
-        }
-    }
-}
-
-struct TaskSlot {
-    future: RefCell<Pin<Box<dyn Future<Output = ()>>>>,
-    waker_state: Arc<NativeWaker>,
-    waker: Waker,
-    // Causal inheritance, mirroring the simulator: a spawned task belongs
-    // to the trace/span that spawned it until it opens its own.
-    trace_tag: Cell<u64>,
-    span_tag: Cell<u64>,
-}
-
-struct TimerEntry {
-    deadline: SimTime,
-    seq: u64,
-    waker: Waker,
-    cancelled: Rc<Cell<bool>>,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deadline, self.seq).cmp(&(other.deadline, other.seq))
-    }
-}
-
-struct Inner {
-    shared: Arc<Shared>,
-    tasks: RefCell<Vec<Option<Rc<TaskSlot>>>>,
-    free: RefCell<Vec<usize>>,
-    timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
-    timer_seq: Cell<u64>,
-    live: Cell<usize>,
-    current_trace: Cell<u64>,
-    current_span: Cell<u64>,
+/// Wall time in microseconds since the UNIX epoch, read from a monotonic
+/// anchor so it never steps backwards.
+pub struct WallClock {
     /// Monotonic anchor for `now()`.
     started: Instant,
     /// Wall-clock microseconds at `started` (UNIX epoch offset), so
@@ -118,358 +43,65 @@ struct Inner {
     epoch_us: u64,
 }
 
-/// The real-time [`Runtime`]: see the module docs.
-///
-/// Cheap to clone (a reference-counted core); `!Send`, like the simulator —
-/// one runtime per thread.
-#[derive(Clone)]
-pub struct NativeRuntime {
-    inner: Rc<Inner>,
-}
-
-impl Default for NativeRuntime {
+impl Default for WallClock {
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for NativeRuntime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NativeRuntime")
-            .field("now", &self.now())
-            .field("live_tasks", &self.inner.live.get())
-            .finish()
-    }
-}
-
-/// Longest the idle executor sleeps before re-checking external conditions
-/// (shutdown flags set by IO threads that do not notify the condvar).
-const MAX_PARK: Duration = Duration::from_millis(50);
-
-impl NativeRuntime {
-    /// Creates a runtime; the clock reads wall time from construction on.
-    pub fn new() -> Self {
         let epoch_us = SystemTime::now()
             .duration_since(SystemTime::UNIX_EPOCH)
             .map(|d| d.as_micros() as u64)
             .unwrap_or(0);
-        NativeRuntime {
-            inner: Rc::new(Inner {
-                shared: Arc::new(Shared {
-                    ready: Mutex::new(VecDeque::new()),
-                    idle: Condvar::new(),
-                }),
-                tasks: RefCell::new(Vec::new()),
-                free: RefCell::new(Vec::new()),
-                timers: RefCell::new(BinaryHeap::new()),
-                timer_seq: Cell::new(0),
-                live: Cell::new(0),
-                current_trace: Cell::new(0),
-                current_span: Cell::new(0),
-                started: Instant::now(),
-                epoch_us,
-            }),
+        WallClock {
+            started: Instant::now(),
+            epoch_us,
         }
     }
+}
 
-    /// Number of tasks spawned and not yet completed.
-    pub fn live_tasks(&self) -> usize {
-        self.inner.live.get()
+impl Clock for WallClock {
+    const PARKS: bool = true;
+
+    fn now(&self) -> SimTime {
+        SimTime::from_micros(self.epoch_us + self.started.elapsed().as_micros() as u64)
     }
 
-    fn poll_task(&self, id: usize) {
-        let slot = {
-            let tasks = self.inner.tasks.borrow();
-            match tasks.get(id).and_then(|s| s.clone()) {
-                Some(s) => s,
-                None => return, // already completed; stale wake
+    /// Fires every due timer, then parks until the next live deadline or an
+    /// external wake, at most `MAX_PARK` (50 ms) so that callers can
+    /// re-check stop conditions. Never quiesces.
+    fn idle(rt: &NativeRuntime, _horizon: SimTime) -> bool {
+        let now = rt.now();
+        let next = loop {
+            if let Err(next) = rt.fire_next(now) {
+                break next;
             }
         };
-        slot.waker_state.queued.store(false, Ordering::Release);
-        let mut cx = Context::from_waker(&slot.waker);
-        let outer_trace = self.inner.current_trace.replace(slot.trace_tag.get());
-        let outer_span = self.inner.current_span.replace(slot.span_tag.get());
-        let poll = slot.future.borrow_mut().as_mut().poll(&mut cx);
-        slot.trace_tag
-            .set(self.inner.current_trace.replace(outer_trace));
-        slot.span_tag
-            .set(self.inner.current_span.replace(outer_span));
-        if poll.is_ready() {
-            self.inner.tasks.borrow_mut()[id] = None;
-            self.inner.free.borrow_mut().push(id);
-            self.inner.live.set(self.inner.live.get() - 1);
+        if rt.has_ready() {
+            return true;
         }
-    }
-
-    /// Fires every timer whose deadline has passed. Returns the next
-    /// pending deadline, if any.
-    fn fire_due_timers(&self) -> Option<SimTime> {
-        let now = self.now();
-        loop {
-            let entry = {
-                let mut timers = self.inner.timers.borrow_mut();
-                match timers.peek() {
-                    Some(Reverse(e)) if e.cancelled.get() => {
-                        timers.pop();
-                        continue;
-                    }
-                    Some(Reverse(e)) if e.deadline <= now => timers.pop().map(|Reverse(e)| e),
-                    Some(Reverse(e)) => return Some(e.deadline),
-                    None => return None,
-                }
-            };
-            if let Some(e) = entry {
-                e.waker.wake();
-            }
-        }
-    }
-
-    /// Runs one scheduler turn: drain runnable tasks, fire due timers, and
-    /// if nothing is runnable park until the next timer or an external wake
-    /// (bounded by [`MAX_PARK`] so callers can re-check stop conditions).
-    pub fn turn(&self) {
-        loop {
-            let next = {
-                let mut ready = self
-                    .inner
-                    .shared
-                    .ready
-                    .lock()
-                    .expect("ready queue poisoned");
-                ready.pop_front()
-            };
-            match next {
-                Some(id) => self.poll_task(id),
-                None => break,
-            }
-        }
-        let next_deadline = self.fire_due_timers();
-        let ready = self
-            .inner
-            .shared
-            .ready
-            .lock()
-            .expect("ready queue poisoned");
-        if !ready.is_empty() {
-            return;
-        }
-        let wait = match next_deadline {
+        let wait = match next {
             Some(d) => {
-                let now = self.now();
+                let now = rt.now();
                 if d <= now {
-                    return;
+                    return true;
                 }
                 Duration::from_micros((d - now).as_micros()).min(MAX_PARK)
             }
             None => MAX_PARK,
         };
-        // Park until woken or the wait elapses; spurious wakeups are fine,
-        // the caller loops.
-        let _unused = self
-            .inner
-            .shared
-            .idle
-            .wait_timeout(ready, wait)
-            .expect("ready queue poisoned");
-    }
-
-    /// Runs turns until `stop` returns true.
-    pub fn run_while(&self, mut keep_going: impl FnMut() -> bool) {
-        while keep_going() {
-            self.turn();
-        }
-    }
-
-    /// Spawns `future` and runs the executor until it completes.
-    pub fn block_on<F>(&self, future: F) -> F::Output
-    where
-        F: Future + 'static,
-        F::Output: 'static,
-    {
-        let handle = self.spawn(future);
-        loop {
-            if let Some(v) = handle.state.borrow_mut().result.take() {
-                return v;
-            }
-            self.turn();
-        }
-    }
-
-    pub(crate) fn register_timer(&self, deadline: SimTime, waker: Waker) -> Rc<Cell<bool>> {
-        let seq = self.inner.timer_seq.get();
-        self.inner.timer_seq.set(seq + 1);
-        let cancelled = Rc::new(Cell::new(false));
-        self.inner.timers.borrow_mut().push(Reverse(TimerEntry {
-            deadline,
-            seq,
-            waker,
-            cancelled: Rc::clone(&cancelled),
-        }));
-        cancelled
-    }
-}
-
-struct JoinState<T> {
-    result: Option<T>,
-    done: bool,
-    waker: Option<Waker>,
-}
-
-/// Future resolving to a spawned task's output. Dropping it detaches the
-/// task (never cancels), mirroring the simulator's handle semantics.
-pub struct NativeJoinHandle<T> {
-    state: Rc<RefCell<JoinState<T>>>,
-}
-
-impl<T> RtJoinHandle<T> for NativeJoinHandle<T> {
-    fn try_result(&self) -> Option<T> {
-        self.state.borrow_mut().result.take()
-    }
-    fn is_done(&self) -> bool {
-        self.state.borrow().done
-    }
-}
-
-impl<T> Future for NativeJoinHandle<T> {
-    type Output = T;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
-        let mut s = self.state.borrow_mut();
-        match s.result.take() {
-            Some(v) => Poll::Ready(v),
-            None => {
-                s.waker = Some(cx.waker().clone());
-                Poll::Pending
-            }
-        }
-    }
-}
-
-/// Timer future; dropping it cancels the underlying heap entry.
-pub struct NativeSleep {
-    rt: NativeRuntime,
-    deadline: SimTime,
-    registration: Option<(Rc<Cell<bool>>, Waker)>,
-}
-
-impl Future for NativeSleep {
-    type Output = ();
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.rt.now() >= self.deadline {
-            self.registration = None;
-            Poll::Ready(())
-        } else {
-            let needs_registration = match &self.registration {
-                None => true,
-                Some((_, registered)) => !registered.will_wake(cx.waker()),
-            };
-            if needs_registration {
-                if let Some((old, _)) = self.registration.take() {
-                    old.set(true);
-                }
-                let deadline = self.deadline;
-                let waker = cx.waker().clone();
-                let flag = self.rt.register_timer(deadline, waker.clone());
-                self.registration = Some((flag, waker));
-            }
-            Poll::Pending
-        }
-    }
-}
-
-impl Drop for NativeSleep {
-    fn drop(&mut self) {
-        if let Some((flag, _)) = self.registration.take() {
-            flag.set(true);
-        }
-    }
-}
-
-impl Runtime for NativeRuntime {
-    type Sleep = NativeSleep;
-    type JoinHandle<T: 'static> = NativeJoinHandle<T>;
-
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.inner.epoch_us + self.inner.started.elapsed().as_micros() as u64)
-    }
-
-    fn sleep(&self, dur: SimDuration) -> NativeSleep {
-        self.sleep_until(self.now() + dur)
-    }
-
-    fn sleep_until(&self, deadline: SimTime) -> NativeSleep {
-        NativeSleep {
-            rt: self.clone(),
-            deadline,
-            registration: None,
-        }
-    }
-
-    fn spawn<F>(&self, future: F) -> NativeJoinHandle<F::Output>
-    where
-        F: Future + 'static,
-        F::Output: 'static,
-    {
-        let state = Rc::new(RefCell::new(JoinState {
-            result: None,
-            done: false,
-            waker: None,
-        }));
-        let state2 = Rc::clone(&state);
-        let wrapped = async move {
-            let out = future.await;
-            let mut s = state2.borrow_mut();
-            s.result = Some(out);
-            s.done = true;
-            if let Some(w) = s.waker.take() {
-                w.wake();
-            }
-        };
-        let id = {
-            let mut free = self.inner.free.borrow_mut();
-            if let Some(id) = free.pop() {
-                id
-            } else {
-                let mut tasks = self.inner.tasks.borrow_mut();
-                tasks.push(None);
-                tasks.len() - 1
-            }
-        };
-        let waker_state = Arc::new(NativeWaker {
-            id,
-            queued: AtomicBool::new(true),
-            shared: Arc::clone(&self.inner.shared),
-        });
-        let waker = Waker::from(Arc::clone(&waker_state));
-        let slot = Rc::new(TaskSlot {
-            future: RefCell::new(Box::pin(wrapped)),
-            waker_state,
-            waker,
-            trace_tag: Cell::new(self.inner.current_trace.get()),
-            span_tag: Cell::new(self.inner.current_span.get()),
-        });
-        self.inner.tasks.borrow_mut()[id] = Some(slot);
-        self.inner.live.set(self.inner.live.get() + 1);
-        self.inner.shared.push(id);
-        NativeJoinHandle { state }
-    }
-
-    fn trace(&self) -> u64 {
-        self.inner.current_trace.get()
-    }
-    fn set_trace(&self, tag: u64) {
-        self.inner.current_trace.set(tag);
-    }
-    fn span(&self) -> u64 {
-        self.inner.current_span.get()
-    }
-    fn set_span(&self, tag: u64) {
-        self.inner.current_span.set(tag);
+        // A wake since `has_ready` left the park token set, so this returns
+        // at once; spurious returns are fine, the caller loops.
+        std::thread::park_timeout(wait);
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use music_simnet::time::SimDuration;
+    use std::future::Future;
+    use std::pin::Pin;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, Mutex};
+    use std::task::{Context, Poll, Waker};
 
     #[test]
     fn block_on_runs_spawned_tasks() {

@@ -1,16 +1,15 @@
 //! The [`Runtime`] trait: the clock/spawn/telemetry surface the protocol
 //! crates are generic over.
 //!
-//! Two implementations exist:
+//! One implementation, `music-simnet`'s [`Executor`], serves both sides of
+//! the split; only its [`Clock`] differs:
 //!
-//! * [`SimRuntime`] (an alias for [`Sim`]) — the deterministic discrete-event
-//!   executor from `music-simnet`. Virtual time, single-threaded, seedable;
-//!   every existing test, nemesis schedule, and BENCH artifact runs on it
-//!   unchanged.
-//! * [`NativeRuntime`](crate::native::NativeRuntime) — a single-threaded
-//!   real-time executor over `std::time` + OS threads, used by the
-//!   `music-node` / `music-load` binaries to run the same state machines on
-//!   real sockets.
+//! * [`SimRuntime`] (an alias for [`Sim`], the executor over virtual time)
+//!   — deterministic and seedable; every test, nemesis schedule, and BENCH
+//!   artifact runs on it.
+//! * [`NativeRuntime`](crate::native::NativeRuntime) — the executor over a
+//!   wall clock, used by the `music-node` / `music-load` binaries to run the
+//!   same state machines on real sockets.
 //!
 //! Time is expressed in the simulator's [`SimTime`]/[`SimDuration`] units
 //! (microseconds) on both runtimes, so protocol code does not branch on the
@@ -20,11 +19,12 @@
 
 use std::future::Future;
 
-use music_simnet::executor::{JoinHandle, Sim, Sleep};
+use music_simnet::executor::{Clock, Executor, JoinHandle, Sim, Sleep};
 use music_simnet::time::{SimDuration, SimTime};
 
 /// A handle to a spawned task: a future for its output plus non-blocking
-/// completion probes, mirroring `music_simnet::executor::JoinHandle`.
+/// completion probes. Both runtimes return `music_simnet::executor::JoinHandle`;
+/// the trait lets a wrapping runtime name it generically.
 ///
 /// Dropping a handle must *detach* the task (never cancel it): quorum
 /// operations rely on straggler sub-operations completing in the background
@@ -92,37 +92,37 @@ impl<T> RtJoinHandle<T> for JoinHandle<T> {
     }
 }
 
-impl Runtime for Sim {
-    type Sleep = Sleep;
+impl<C: Clock> Runtime for Executor<C> {
+    type Sleep = Sleep<C>;
     type JoinHandle<T: 'static> = JoinHandle<T>;
 
     fn now(&self) -> SimTime {
-        Sim::now(self)
+        Executor::now(self)
     }
-    fn sleep(&self, dur: SimDuration) -> Sleep {
-        Sim::sleep(self, dur)
+    fn sleep(&self, dur: SimDuration) -> Sleep<C> {
+        Executor::sleep(self, dur)
     }
-    fn sleep_until(&self, deadline: SimTime) -> Sleep {
-        Sim::sleep_until(self, deadline)
+    fn sleep_until(&self, deadline: SimTime) -> Sleep<C> {
+        Executor::sleep_until(self, deadline)
     }
     fn spawn<F>(&self, future: F) -> JoinHandle<F::Output>
     where
         F: Future + 'static,
         F::Output: 'static,
     {
-        Sim::spawn(self, future)
+        Executor::spawn(self, future)
     }
     fn trace(&self) -> u64 {
-        Sim::trace(self)
+        Executor::trace(self)
     }
     fn set_trace(&self, tag: u64) {
-        Sim::set_trace(self, tag)
+        Executor::set_trace(self, tag)
     }
     fn span(&self) -> u64 {
-        Sim::span(self)
+        Executor::span(self)
     }
     fn set_span(&self, tag: u64) {
-        Sim::set_span(self, tag)
+        Executor::set_span(self, tag)
     }
 }
 
@@ -145,6 +145,23 @@ mod tests {
         let sim2 = sim.clone();
         let got = sim.block_on(sleep_then_spawn(sim2));
         assert_eq!(got, 42);
+    }
+
+    /// Spawns a task, lets `run` complete it, then takes its output.
+    fn take_result_of_a_finished_task<RT: Runtime>(rt: &RT, run: impl FnOnce()) {
+        let h = rt.spawn(async { 7u32 });
+        run();
+        assert_eq!(h.try_result(), Some(7));
+        assert!(h.is_done(), "taking the output leaves the handle done");
+        assert_eq!(h.try_result(), None);
+    }
+
+    #[test]
+    fn join_handles_stay_done_after_try_result() {
+        let sim = Sim::new();
+        take_result_of_a_finished_task(&sim, || sim.run());
+        let rt = crate::NativeRuntime::new();
+        take_result_of_a_finished_task(&rt, || rt.block_on(async {}));
     }
 
     #[test]

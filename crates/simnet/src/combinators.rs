@@ -24,14 +24,26 @@ impl std::fmt::Display for Elapsed {
 
 impl std::error::Error for Elapsed {}
 
-/// Future returned by [`timeout`]. The `Sleep` is held inline (it is
-/// `Unpin`), so a timeout costs one allocation: its boxed future.
-pub struct Timeout<F> {
+/// Future returned by [`timeout`]: `future` raced against `sleep`, any
+/// `Unpin` timer future (the simulator's [`Sleep`] by default, or another
+/// runtime's). The sleep is held inline, so a timeout costs one
+/// allocation: its boxed future.
+pub struct Timeout<F, S = Sleep> {
     future: Pin<Box<F>>,
-    sleep: Sleep,
+    sleep: S,
 }
 
-impl<F: Future> Future for Timeout<F> {
+impl<F, S> Timeout<F, S> {
+    /// Races `future` against `sleep`; the caller picks the clock.
+    pub fn new(sleep: S, future: F) -> Self {
+        Timeout {
+            future: Box::pin(future),
+            sleep,
+        }
+    }
+}
+
+impl<F: Future, S: Future<Output = ()> + Unpin> Future for Timeout<F, S> {
     type Output = Result<F::Output, Elapsed>;
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         if let Poll::Ready(v) = self.future.as_mut().poll(cx) {
@@ -50,10 +62,7 @@ impl<F: Future> Future for Timeout<F> {
 /// detached tasks ([`Sim::spawn`]) when the underlying effect must survive
 /// the timeout (as replica-side writes do).
 pub fn timeout<F: Future>(sim: &Sim, dur: SimDuration, future: F) -> Timeout<F> {
-    Timeout {
-        future: Box::pin(future),
-        sleep: sim.sleep(dur),
-    }
+    Timeout::new(sim.sleep(dur), future)
 }
 
 /// A future that never completes. Models a lost message from the sender's
@@ -113,18 +122,19 @@ pub async fn join_all<F: Future>(futures: Vec<F>) -> Vec<F::Output> {
     .await
 }
 
-/// Future returned by [`quorum`].
-pub struct Quorum<T> {
-    handles: Vec<Option<JoinHandle<T>>>,
+/// Future returned by [`quorum`], over any `Unpin` join-handle future
+/// (the simulator's [`JoinHandle`] by default).
+pub struct Quorum<T, H = JoinHandle<T>> {
+    handles: Vec<Option<H>>,
     results: Vec<(usize, T)>,
     need: usize,
 }
 
 // `Quorum` owns no self-referential data; all fields live behind owned
 // containers, so moving it is always sound.
-impl<T> Unpin for Quorum<T> {}
+impl<T, H> Unpin for Quorum<T, H> {}
 
-impl<T> Future for Quorum<T> {
+impl<T, H: Future<Output = T> + Unpin> Future for Quorum<T, H> {
     type Output = Vec<(usize, T)>;
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
@@ -161,7 +171,7 @@ impl<T> Future for Quorum<T> {
 ///
 /// Panics immediately if `need > handles.len()` (the quorum could never be
 /// met even in a failure-free run).
-pub fn quorum<T>(handles: Vec<JoinHandle<T>>, need: usize) -> Quorum<T> {
+pub fn quorum<T, H: Future<Output = T> + Unpin>(handles: Vec<H>, need: usize) -> Quorum<T, H> {
     assert!(
         need <= handles.len(),
         "quorum of {need} impossible with {} replicas",

@@ -1,12 +1,20 @@
-//! A deterministic, single-threaded, virtual-time async executor.
+//! The executor core both runtimes share, and [`Sim`], its virtual-time
+//! instantiation.
 //!
 //! Every protocol in this workspace (quorum stores, Paxos, Zab, Raft, the
-//! MUSIC layer itself) runs as ordinary `async` tasks on this executor.
-//! Instead of wall-clock timers the executor keeps a virtual clock: when no
-//! task is runnable it jumps the clock to the earliest pending timer. A
-//! whole five-minute saturation experiment therefore executes in wall-clock
-//! milliseconds, and — because scheduling is a pure function of spawn/wake
-//! order and timer deadlines — two runs with the same seed are identical.
+//! MUSIC layer itself) runs as ordinary `async` tasks on one single-threaded
+//! [`Executor`]: a task slab, a ready queue, trace/span tags, the timer
+//! queue, [`JoinHandle`] and [`Sleep`]. Only the [`Clock`] differs between
+//! the two runtimes, and with it what an idle executor does:
+//!
+//! * [`Sim`] reads a [`VirtualClock`]. When no task is runnable it jumps
+//!   the clock to the earliest live timer. A whole five-minute saturation
+//!   experiment therefore executes in wall-clock milliseconds, and —
+//!   because scheduling is a pure function of spawn/wake order and timer
+//!   deadlines — two runs with the same seed are identical.
+//! * `music_runtime::NativeRuntime` reads wall time. It fires every due
+//!   timer, then parks its thread until the next live deadline or until a
+//!   waker, possibly on another thread, unparks it.
 //!
 //! # Timers
 //!
@@ -52,23 +60,72 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
+use std::thread::Thread;
 
 use parking_lot::Mutex;
 
 use crate::clock::{DriftClock, DriftSpec};
 use crate::time::{SimDuration, SimTime};
 
+/// The time source of an [`Executor`], and what the executor does when no
+/// task is runnable: the one part its two instantiations do not share.
+pub trait Clock: Default + 'static {
+    /// Whether an idle executor parks its thread. A waker then unparks the
+    /// thread that created the executor after queueing its task.
+    const PARKS: bool;
+
+    /// The current time in microseconds.
+    fn now(&self) -> SimTime;
+
+    /// Called when no task is runnable: fires timers due by `horizon` and
+    /// moves the clock or waits for it. Returns `false` when nothing can
+    /// ever run again, which only a virtual clock can know.
+    fn idle(exec: &Executor<Self>, horizon: SimTime) -> bool;
+}
+
+/// Virtual time: starts at [`SimTime::ZERO`] and moves only when [`Sim`]
+/// fires a timer or finishes a `run_until`.
+#[derive(Default)]
+pub struct VirtualClock(Cell<SimTime>);
+
+impl Clock for VirtualClock {
+    const PARKS: bool = false;
+
+    fn now(&self) -> SimTime {
+        self.0.get()
+    }
+
+    /// Jumps the clock to the next live deadline within `horizon` and fires
+    /// that timer; cancelled timers never move time.
+    fn idle(sim: &Sim, horizon: SimTime) -> bool {
+        match sim.fire_next(horizon) {
+            Ok(deadline) => {
+                debug_assert!(deadline >= sim.true_now(), "time went backwards");
+                sim.advance_to(deadline);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+}
+
 /// Identifier of a spawned task, used internally for wakeups.
 type TaskId = usize;
 
-/// The shared ready queue. It is `Send + Sync` only because `std::task::Waker`
-/// demands it; the executor itself is strictly single-threaded.
-type ReadyQueue = Arc<Mutex<VecDeque<TaskId>>>;
+/// The shared ready queue. It is `Send + Sync` because `std::task::Waker`
+/// demands it, and because a wall-clock executor's tasks are woken from IO
+/// threads; the executor itself is strictly single-threaded.
+struct ReadyQueue {
+    ids: Mutex<VecDeque<TaskId>>,
+    /// The thread to unpark after a push: the wall-clock executor's, which
+    /// parks when idle. `None` under the virtual clock, which never parks.
+    unpark: Option<Thread>,
+}
 
 struct TaskWaker {
     id: TaskId,
     queued: AtomicBool,
-    ready: ReadyQueue,
+    ready: Arc<ReadyQueue>,
 }
 
 impl Wake for TaskWaker {
@@ -77,8 +134,12 @@ impl Wake for TaskWaker {
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        if !self.queued.swap(true, Ordering::Relaxed) {
-            self.ready.lock().push_back(self.id);
+        if !self.queued.swap(true, Ordering::AcqRel) {
+            self.ready.ids.lock().push_back(self.id);
+            // On a running thread this only sets the park token.
+            if let Some(thread) = &self.ready.unpark {
+                thread.unpark();
+            }
         }
     }
 }
@@ -239,21 +300,24 @@ impl Timers {
     }
 
     /// Removes the earliest live timer if its deadline is `<= horizon`,
-    /// returning its deadline and waker. Cancelled entries met on the way
-    /// are discarded; the floor never moves past a timer that does not fire.
-    fn pop_due(&mut self, horizon: u64) -> Option<(u64, Waker)> {
+    /// returning its deadline and waker. Otherwise returns the earliest
+    /// live deadline, which lies past the horizon, or `None` when no timer
+    /// is live. Cancelled entries met on the way are discarded; the floor
+    /// never moves past a timer that does not fire.
+    fn pop_due(&mut self, horizon: u64) -> Result<(u64, Waker), Option<u64>> {
         loop {
             while let Some(&e) = self.buckets[0].get(self.head) {
                 self.head += 1;
                 if Self::is_live(&self.slots, &e) {
                     debug_assert!(e.deadline <= horizon, "floor beyond the horizon");
-                    return self.disarm(e.slot).map(|w| (e.deadline, w));
+                    let waker = self.disarm(e.slot).expect("a live slot is armed");
+                    return Ok((e.deadline, waker));
                 }
             }
             self.buckets[0].clear();
             self.head = 0;
             if self.occupied == 0 {
-                return None;
+                return Err(None);
             }
             // The lowest non-empty bucket holds the earliest deadlines.
             let b = self.occupied.trailing_zeros() as usize + 1;
@@ -273,7 +337,7 @@ impl Timers {
                 Some(m) if m > horizon => {
                     self.occupied |= bit;
                     self.buckets[b] = entries;
-                    return None;
+                    return Err(Some(m));
                 }
                 Some(m) => {
                     self.floor = m;
@@ -290,9 +354,9 @@ impl Timers {
     }
 }
 
-struct Inner {
-    now: Cell<SimTime>,
-    ready: ReadyQueue,
+struct Core<C> {
+    clock: C,
+    ready: Arc<ReadyQueue>,
     tasks: RefCell<Vec<Option<Rc<TaskSlot>>>>,
     free: RefCell<Vec<TaskId>>,
     timers: RefCell<Timers>,
@@ -357,44 +421,72 @@ impl ExecutorProfile {
     }
 }
 
-/// Handle to the simulation runtime: clock, spawner, and run loop.
+fn bump(counter: &Cell<u64>) {
+    counter.set(counter.get() + 1);
+}
+
+fn raise(high_water: &Cell<u64>, level: usize) {
+    high_water.set(high_water.get().max(level as u64));
+}
+
+/// The executor: tasks, wakeups, timers and telemetry tags over a
+/// [`Clock`]. [`Sim`] is the executor over the [`VirtualClock`];
+/// `music_runtime::NativeRuntime` is the same executor over wall time.
 ///
-/// `Sim` is a cheap reference-counted handle; clone it freely into tasks.
+/// A cheap reference-counted handle; clone it freely into tasks. `!Send`:
+/// one executor per thread.
 ///
 /// A handle can optionally carry a **drift lens** ([`Sim::with_drift`]):
-/// [`Sim::now`] through such a handle reads a node-local skewed clock while
-/// scheduling, timers, and event delivery stay on true virtual time
-/// ([`Sim::true_now`]) — the model of a fleet whose nodes' clocks drift.
-#[derive(Clone)]
-pub struct Sim {
-    inner: Rc<Inner>,
-    /// Per-handle clock-skew lens; `None` reads true virtual time.
+/// [`Executor::now`] through such a handle reads a node-local skewed clock
+/// while scheduling, timers, and event delivery stay on true time
+/// ([`Executor::true_now`]) — the model of a fleet whose nodes' clocks
+/// drift.
+pub struct Executor<C> {
+    core: Rc<Core<C>>,
+    /// Per-handle clock-skew lens; `None` reads true time.
     skew: Option<Rc<DriftClock>>,
 }
 
-impl fmt::Debug for Sim {
+/// The deterministic simulation runtime: the [`Executor`] over virtual
+/// time, with its run loops ([`Sim::run`], [`Sim::run_until`]).
+pub type Sim = Executor<VirtualClock>;
+
+impl<C> Clone for Executor<C> {
+    fn clone(&self) -> Self {
+        Executor {
+            core: Rc::clone(&self.core),
+            skew: self.skew.clone(),
+        }
+    }
+}
+
+impl<C: Clock> fmt::Debug for Executor<C> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Sim")
+        f.debug_struct("Executor")
             .field("now", &self.now())
-            .field("live_tasks", &self.inner.live.get())
+            .field("live_tasks", &self.live_tasks())
             .finish()
     }
 }
 
-impl Default for Sim {
+impl<C: Clock> Default for Executor<C> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Sim {
-    /// Creates a fresh simulation with the clock at [`SimTime::ZERO`] and no
-    /// tasks.
+impl<C: Clock> Executor<C> {
+    /// Creates an executor with a fresh clock and no tasks: a simulation
+    /// with the clock at [`SimTime::ZERO`], or a wall-clock runtime driven
+    /// by the calling thread.
     pub fn new() -> Self {
-        Sim {
-            inner: Rc::new(Inner {
-                now: Cell::new(SimTime::ZERO),
-                ready: Arc::new(Mutex::new(VecDeque::new())),
+        Executor {
+            core: Rc::new(Core {
+                clock: C::default(),
+                ready: Arc::new(ReadyQueue {
+                    ids: Mutex::new(VecDeque::new()),
+                    unpark: C::PARKS.then(std::thread::current),
+                }),
                 tasks: RefCell::new(Vec::new()),
                 free: RefCell::new(Vec::new()),
                 timers: RefCell::new(Timers::new()),
@@ -407,43 +499,24 @@ impl Sim {
         }
     }
 
-    /// Current time as this handle's node observes it: true virtual time,
-    /// mapped through the drift lens when one is attached
-    /// ([`Sim::with_drift`]).
+    /// Current time as this handle's node observes it: true time, mapped
+    /// through the drift lens when one is attached ([`Sim::with_drift`]).
     pub fn now(&self) -> SimTime {
         match &self.skew {
-            Some(clock) => clock.local(self.inner.now.get()),
-            None => self.inner.now.get(),
+            Some(clock) => clock.local(self.true_now()),
+            None => self.true_now(),
         }
     }
 
-    /// Current **true** virtual time, ignoring any drift lens. This is the
-    /// clock that orders event delivery and timer firing.
+    /// Current **true** time, ignoring any drift lens. This is the clock
+    /// that orders event delivery and timer firing.
     pub fn true_now(&self) -> SimTime {
-        self.inner.now.get()
-    }
-
-    /// A handle onto the same simulation whose [`Sim::now`] reads a
-    /// node-local clock skewed by `spec`. Scheduling is untouched: timers
-    /// and tasks created through the skewed handle still run on true
-    /// virtual time (interval timers behave like `CLOCK_MONOTONIC` — skew
-    /// affects timestamps, not durations), so attaching drift never changes
-    /// the event schedule and byte-replay is preserved.
-    pub fn with_drift(&self, spec: DriftSpec) -> Sim {
-        Sim {
-            inner: Rc::clone(&self.inner),
-            skew: Some(Rc::new(DriftClock::new(spec))),
-        }
-    }
-
-    /// The drift spec of this handle's lens, if one is attached.
-    pub fn drift_spec(&self) -> Option<&DriftSpec> {
-        self.skew.as_ref().map(|c| c.spec())
+        self.core.clock.now()
     }
 
     /// Number of tasks that have been spawned and not yet completed.
     pub fn live_tasks(&self) -> usize {
-        self.inner.live.get()
+        self.core.live.get()
     }
 
     /// The telemetry trace tag of the currently running task (`0` = no
@@ -451,34 +524,34 @@ impl Sim {
     /// across awaits, so a tag set at the start of a client operation is
     /// visible from every network transmission that operation causes.
     pub fn trace(&self) -> u64 {
-        self.inner.current_trace.get()
+        self.core.current_trace.get()
     }
 
-    /// Sets the current task's trace tag (see [`Sim::trace`]). Purely
+    /// Sets the current task's trace tag (see [`Executor::trace`]). Purely
     /// observational: scheduling, timers, and randomness are unaffected.
     pub fn set_trace(&self, tag: u64) {
-        self.inner.current_trace.set(tag);
+        self.core.current_trace.set(tag);
     }
 
     /// The phase-span tag of the currently running task (`0` = no open
-    /// span). Distinct from [`Sim::trace`]: the trace names a whole
+    /// span). Distinct from [`Executor::trace`]: the trace names a whole
     /// client-visible operation, the span names the *currently open
     /// phase* within it. Inherited by spawned tasks and preserved across
     /// awaits, so instrumentation deep in the stack can parent its spans
     /// onto the caller's without threading ids through every signature.
     pub fn span(&self) -> u64 {
-        self.inner.current_span.get()
+        self.core.current_span.get()
     }
 
-    /// Sets the current task's span tag (see [`Sim::span`]). Purely
-    /// observational, like [`Sim::set_trace`].
+    /// Sets the current task's span tag (see [`Executor::span`]). Purely
+    /// observational, like [`Executor::set_trace`].
     pub fn set_span(&self, tag: u64) {
-        self.inner.current_span.set(tag);
+        self.core.current_span.set(tag);
     }
 
     /// A snapshot of the executor's hot-path counters.
     pub fn profile(&self) -> ExecutorProfile {
-        let p = &self.inner.profile;
+        let p = &self.core.profile;
         ExecutorProfile {
             tasks_spawned: p.tasks_spawned.get(),
             task_polls: p.task_polls.get(),
@@ -494,7 +567,8 @@ impl Sim {
     /// output.
     ///
     /// Dropping the handle detaches the task; it keeps running. Tasks only
-    /// make progress inside [`Sim::run`] / [`Sim::run_until`].
+    /// make progress while the executor runs ([`Sim::run`],
+    /// [`Executor::block_on`], [`Executor::turn`]).
     pub fn spawn<F>(&self, future: F) -> JoinHandle<F::Output>
     where
         F: Future + 'static,
@@ -502,6 +576,7 @@ impl Sim {
     {
         let state = Rc::new(RefCell::new(JoinState {
             result: None,
+            done: false,
             waker: None,
         }));
         let state2 = Rc::clone(&state);
@@ -509,17 +584,19 @@ impl Sim {
             let out = future.await;
             let mut s = state2.borrow_mut();
             s.result = Some(out);
+            s.done = true;
             if let Some(w) = s.waker.take() {
                 w.wake();
             }
         };
 
+        let core = &self.core;
         let id = {
-            let mut free = self.inner.free.borrow_mut();
+            let mut free = core.free.borrow_mut();
             if let Some(id) = free.pop() {
                 id
             } else {
-                let mut tasks = self.inner.tasks.borrow_mut();
+                let mut tasks = core.tasks.borrow_mut();
                 tasks.push(None);
                 tasks.len() - 1
             }
@@ -527,7 +604,7 @@ impl Sim {
         let waker_state = Arc::new(TaskWaker {
             id,
             queued: AtomicBool::new(true),
-            ready: Arc::clone(&self.inner.ready),
+            ready: Arc::clone(&core.ready),
         });
         let waker = Waker::from(Arc::clone(&waker_state));
         let slot = Rc::new(TaskSlot {
@@ -536,59 +613,48 @@ impl Sim {
             waker,
             // Causal inheritance: a spawned task belongs to the span that
             // spawned it until it opens a span of its own.
-            trace_tag: Cell::new(self.inner.current_trace.get()),
-            span_tag: Cell::new(self.inner.current_span.get()),
+            trace_tag: Cell::new(core.current_trace.get()),
+            span_tag: Cell::new(core.current_span.get()),
         });
-        self.inner.tasks.borrow_mut()[id] = Some(slot);
-        self.inner.live.set(self.inner.live.get() + 1);
-        let p = &self.inner.profile;
-        p.tasks_spawned.set(p.tasks_spawned.get() + 1);
-        let mut ready = self.inner.ready.lock();
+        core.tasks.borrow_mut()[id] = Some(slot);
+        core.live.set(core.live.get() + 1);
+        bump(&core.profile.tasks_spawned);
+        let mut ready = core.ready.ids.lock();
         ready.push_back(id);
-        p.max_ready_queue
-            .set(p.max_ready_queue.get().max(ready.len() as u64));
-        drop(ready);
+        raise(&core.profile.max_ready_queue, ready.len());
         JoinHandle { state }
     }
 
     /// Timers registered and neither fired nor cancelled yet (see
     /// [`ExecutorProfile`]).
     pub fn pending_timers(&self) -> usize {
-        self.inner.timers.borrow().pending
+        self.core.timers.borrow().pending
     }
 
     /// Registers `waker` to fire at `deadline`. Used by [`Sleep`].
     fn register_timer(&self, deadline: SimTime, waker: Waker) -> TimerHandle {
-        let mut timers = self.inner.timers.borrow_mut();
+        let mut timers = self.core.timers.borrow_mut();
         let handle = timers.insert(deadline, waker);
-        let p = &self.inner.profile;
-        p.timers_set.set(p.timers_set.get() + 1);
-        p.max_timer_heap
-            .set(p.max_timer_heap.get().max(timers.pending as u64));
+        bump(&self.core.profile.timers_set);
+        raise(&self.core.profile.max_timer_heap, timers.pending);
         handle
     }
 
     /// Cancels `h` if it is still pending; a stale handle cancels nothing.
     fn cancel_timer(&self, h: TimerHandle) {
-        let waker = self.inner.timers.borrow_mut().cancel(h);
+        let waker = self.core.timers.borrow_mut().cancel(h);
         if waker.is_some() {
-            let p = &self.inner.profile;
-            p.timers_cancelled.set(p.timers_cancelled.get() + 1);
+            bump(&self.core.profile.timers_cancelled);
         }
     }
 
-    /// Returns a future that completes after `dur` of virtual time.
+    /// Returns a future that completes after `dur`.
     ///
     /// Durations are *true* time even through a drifted handle: a skewed
     /// clock changes what timestamps a node reads, not how fast its
     /// interval timers run (`CLOCK_MONOTONIC` semantics).
-    pub fn sleep(&self, dur: SimDuration) -> Sleep {
-        let deadline = self.true_now() + dur;
-        Sleep {
-            sim: self.clone(),
-            deadline,
-            timer: None,
-        }
+    pub fn sleep(&self, dur: SimDuration) -> Sleep<C> {
+        self.sleep_until_true(self.true_now() + dur)
     }
 
     /// Returns a future that completes when this handle's clock reads
@@ -596,58 +662,81 @@ impl Sim {
     /// the node-local clock and converted to true time at call site (the
     /// remaining local wait is taken at face value), so the timer itself
     /// still rides the true-time queue.
-    pub fn sleep_until(&self, deadline: SimTime) -> Sleep {
+    pub fn sleep_until(&self, deadline: SimTime) -> Sleep<C> {
         let deadline = match &self.skew {
             Some(_) => self.true_now() + deadline.saturating_since(self.now()),
             None => deadline,
         };
+        self.sleep_until_true(deadline)
+    }
+
+    fn sleep_until_true(&self, deadline: SimTime) -> Sleep<C> {
         Sleep {
-            sim: self.clone(),
+            exec: self.clone(),
             deadline,
             timer: None,
         }
     }
 
     fn poll_task(&self, id: TaskId) {
+        let core = &self.core;
         let slot = {
-            let tasks = self.inner.tasks.borrow();
+            let tasks = core.tasks.borrow();
             match tasks.get(id).and_then(|s| s.clone()) {
                 Some(s) => s,
                 None => return, // already completed; stale wake
             }
         };
-        slot.waker_state.queued.store(false, Ordering::Relaxed);
+        slot.waker_state.queued.store(false, Ordering::Release);
         let mut cx = Context::from_waker(&slot.waker);
-        let p = &self.inner.profile;
-        p.task_polls.set(p.task_polls.get() + 1);
+        bump(&core.profile.task_polls);
         // Swap the task's trace and span tags in around the poll so
-        // `Sim::trace` / `Sim::span` always name the operation and phase
-        // of the code actually running, across awaits and interleavings.
-        let outer_trace = self.inner.current_trace.replace(slot.trace_tag.get());
-        let outer_span = self.inner.current_span.replace(slot.span_tag.get());
+        // `trace()` / `span()` always name the operation and phase of the
+        // code actually running, across awaits and interleavings.
+        let outer_trace = core.current_trace.replace(slot.trace_tag.get());
+        let outer_span = core.current_span.replace(slot.span_tag.get());
         let poll = slot.future.borrow_mut().as_mut().poll(&mut cx);
-        slot.trace_tag
-            .set(self.inner.current_trace.replace(outer_trace));
-        slot.span_tag
-            .set(self.inner.current_span.replace(outer_span));
+        slot.trace_tag.set(core.current_trace.replace(outer_trace));
+        slot.span_tag.set(core.current_span.replace(outer_span));
         if poll.is_ready() {
-            self.inner.tasks.borrow_mut()[id] = None;
-            self.inner.free.borrow_mut().push(id);
-            self.inner.live.set(self.inner.live.get() - 1);
+            core.tasks.borrow_mut()[id] = None;
+            core.free.borrow_mut().push(id);
+            core.live.set(core.live.get() - 1);
         }
     }
 
-    /// Runs one scheduler step: drains runnable tasks, then fires the
-    /// earliest timer (advancing the clock). Returns `false` when the
-    /// simulation has quiesced (no runnable tasks and no timers).
+    /// Whether a task is waiting to be polled.
+    pub fn has_ready(&self) -> bool {
+        !self.core.ready.ids.lock().is_empty()
+    }
+
+    /// Fires the earliest live timer if its deadline is `<= horizon`, and
+    /// returns that deadline. Otherwise returns the earliest live deadline
+    /// (past the horizon), or `None` when no timer is pending; cancelled
+    /// timers are skipped and never reported. Moving the clock is left to
+    /// [`Clock::idle`].
+    pub fn fire_next(&self, horizon: SimTime) -> Result<SimTime, Option<SimTime>> {
+        let due = self.core.timers.borrow_mut().pop_due(horizon.as_micros());
+        match due {
+            Ok((deadline, waker)) => {
+                bump(&self.core.profile.timers_fired);
+                waker.wake();
+                Ok(SimTime::from_micros(deadline))
+            }
+            Err(next) => Err(next.map(SimTime::from_micros)),
+        }
+    }
+
+    /// Runs one scheduler step: polls every runnable task (and those they
+    /// wake), then lets the clock handle the idle executor. Returns `false`
+    /// when the executor has quiesced (no runnable tasks and no timers
+    /// within `horizon`).
     fn step(&self, horizon: SimTime) -> bool {
         let mut polled_any = false;
         loop {
             let next = {
-                let mut ready = self.inner.ready.lock();
-                let p = &self.inner.profile;
-                p.max_ready_queue
-                    .set(p.max_ready_queue.get().max(ready.len() as u64));
+                let mut ready = self.core.ready.ids.lock();
+                raise(&self.core.profile.max_ready_queue, ready.len());
                 ready.pop_front()
             };
             match next {
@@ -658,55 +747,30 @@ impl Sim {
                 None => break,
             }
         }
-        // No runnable tasks: advance the clock to the next *live* timer,
-        // silently discarding cancelled entries (they must not move time).
-        let due = self.inner.timers.borrow_mut().pop_due(horizon.as_micros());
-        match due {
-            Some((deadline, waker)) => {
-                let deadline = SimTime::from_micros(deadline);
-                debug_assert!(deadline >= self.inner.now.get(), "time went backwards");
-                self.inner.now.set(deadline.max(self.inner.now.get()));
-                let p = &self.inner.profile;
-                p.timers_fired.set(p.timers_fired.get() + 1);
-                waker.wake();
-                true
-            }
-            None => polled_any,
-        }
+        C::idle(self, horizon) || polled_any
     }
 
-    /// Runs until no task is runnable and no timer is pending.
-    ///
-    /// Tasks blocked forever (e.g. awaiting a message that was lost) do not
-    /// keep the loop alive — a quiesced simulation returns even if such
-    /// tasks exist.
-    pub fn run(&self) {
-        while self.step(SimTime::MAX) {}
+    /// Runs one scheduler turn ([`Clock::idle`] included): on the wall
+    /// clock, parks until the next timer or an external wake when nothing
+    /// is runnable. Returns `false` once the executor has quiesced, which a
+    /// wall clock never does.
+    pub fn turn(&self) -> bool {
+        self.step(SimTime::MAX)
     }
 
-    /// Runs until the virtual clock reaches `deadline` (or the simulation
-    /// quiesces first). The clock is left at `min(deadline, quiesce time)`.
-    pub fn run_until(&self, deadline: SimTime) {
-        while self.inner.now.get() < deadline && self.step(deadline) {}
-        if self.inner.now.get() < deadline {
-            // Quiesced early: jump the clock so callers observe the full span.
-            self.inner.now.set(deadline);
-        }
-    }
-
-    /// Runs the simulation until `handle`'s task completes, returning its
+    /// Runs the executor until `handle`'s task completes, returning its
     /// output.
     ///
     /// # Panics
     ///
-    /// Panics if the simulation quiesces before the task completes (i.e. the
+    /// Panics if the executor quiesces before the task completes (i.e. the
     /// task is deadlocked waiting on something that can never happen).
     pub fn run_until_complete<T>(&self, handle: JoinHandle<T>) -> T {
         loop {
-            if let Some(v) = handle.state.borrow_mut().result.take() {
+            if let Some(v) = handle.try_result() {
                 return v;
             }
-            if !self.step(SimTime::MAX) {
+            if !self.turn() {
                 panic!(
                     "simulation quiesced before task completed (deadlock at {})",
                     self.now()
@@ -715,7 +779,7 @@ impl Sim {
         }
     }
 
-    /// Convenience: spawn `future` and run the simulation to its completion.
+    /// Convenience: spawn `future` and run the executor to its completion.
     pub fn block_on<F>(&self, future: F) -> F::Output
     where
         F: Future + 'static,
@@ -726,8 +790,53 @@ impl Sim {
     }
 }
 
+impl Sim {
+    /// A handle onto the same simulation whose [`Executor::now`] reads a
+    /// node-local clock skewed by `spec`. Scheduling is untouched: timers
+    /// and tasks created through the skewed handle still run on true
+    /// virtual time (interval timers behave like `CLOCK_MONOTONIC` — skew
+    /// affects timestamps, not durations), so attaching drift never changes
+    /// the event schedule and byte-replay is preserved.
+    pub fn with_drift(&self, spec: DriftSpec) -> Sim {
+        Sim {
+            core: Rc::clone(&self.core),
+            skew: Some(Rc::new(DriftClock::new(spec))),
+        }
+    }
+
+    /// The drift spec of this handle's lens, if one is attached.
+    pub fn drift_spec(&self) -> Option<&DriftSpec> {
+        self.skew.as_ref().map(|c| c.spec())
+    }
+
+    fn advance_to(&self, t: SimTime) {
+        let clock = &self.core.clock.0;
+        clock.set(t.max(clock.get()));
+    }
+
+    /// Runs until no task is runnable and no timer is pending.
+    ///
+    /// Tasks blocked forever (e.g. awaiting a message that was lost) do not
+    /// keep the loop alive — a quiesced simulation returns even if such
+    /// tasks exist.
+    pub fn run(&self) {
+        while self.turn() {}
+    }
+
+    /// Runs until the virtual clock reaches `deadline` (or the simulation
+    /// quiesces first). The clock is left at `min(deadline, quiesce time)`.
+    pub fn run_until(&self, deadline: SimTime) {
+        while self.true_now() < deadline && self.step(deadline) {}
+        // Quiesced early: jump the clock so callers observe the full span.
+        self.advance_to(deadline);
+    }
+}
+
 struct JoinState<T> {
     result: Option<T>,
+    /// Set with `result` and never cleared, so taking the output leaves
+    /// the handle done.
+    done: bool,
     waker: Option<Waker>,
 }
 
@@ -744,7 +853,7 @@ pub struct JoinHandle<T> {
 impl<T> fmt::Debug for JoinHandle<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("JoinHandle")
-            .field("done", &self.state.borrow().result.is_some())
+            .field("done", &self.is_done())
             .finish()
     }
 }
@@ -757,7 +866,7 @@ impl<T> JoinHandle<T> {
 
     /// Whether the task has completed (output may already be taken).
     pub fn is_done(&self) -> bool {
-        self.state.borrow().result.is_some()
+        self.state.borrow().done
     }
 }
 
@@ -775,23 +884,24 @@ impl<T> Future for JoinHandle<T> {
     }
 }
 
-/// Future returned by [`Sim::sleep`] / [`Sim::sleep_until`].
+/// Future returned by [`Sim::sleep`] / [`Sim::sleep_until`] (and by the
+/// native runtime's, over its wall clock).
 ///
 /// Dropping a `Sleep` before it fires cancels its timer: a dropped timer
 /// never advances the virtual clock (critical for [`crate::combinators::timeout`],
-/// which drops the loser of its race).
-pub struct Sleep {
-    sim: Sim,
+/// which drops the loser of its race) and never wakes a parked executor.
+pub struct Sleep<C: Clock = VirtualClock> {
+    exec: Executor<C>,
     deadline: SimTime,
     timer: Option<TimerHandle>,
 }
 
-impl Future for Sleep {
+impl<C: Clock> Future for Sleep<C> {
     type Output = ();
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         // The deadline was resolved to true time at creation; comparing
-        // against the skewed clock here would double-apply the drift.
-        if self.sim.true_now() >= self.deadline {
+        // against a drifted clock here would double-apply the drift.
+        if self.exec.true_now() >= self.deadline {
             // Fired, or created in the past. A registration still pending
             // (another timer at this instant moved the clock first) is left
             // to fire: its wake is part of the schedule.
@@ -803,22 +913,22 @@ impl Future for Sleep {
             // waker and would otherwise wake the wrong task.
             let current = self
                 .timer
-                .is_some_and(|h| self.sim.inner.timers.borrow().will_wake(h, cx.waker()));
+                .is_some_and(|h| self.exec.core.timers.borrow().will_wake(h, cx.waker()));
             if !current {
                 if let Some(old) = self.timer.take() {
-                    self.sim.cancel_timer(old);
+                    self.exec.cancel_timer(old);
                 }
-                self.timer = Some(self.sim.register_timer(self.deadline, cx.waker().clone()));
+                self.timer = Some(self.exec.register_timer(self.deadline, cx.waker().clone()));
             }
             Poll::Pending
         }
     }
 }
 
-impl Drop for Sleep {
+impl<C: Clock> Drop for Sleep<C> {
     fn drop(&mut self) {
         if let Some(h) = self.timer.take() {
-            self.sim.cancel_timer(h);
+            self.exec.cancel_timer(h);
         }
     }
 }
@@ -957,7 +1067,7 @@ mod tests {
             sim.run();
             assert!(h.is_done());
         }
-        assert!(sim.inner.tasks.borrow().len() <= 2);
+        assert!(sim.core.tasks.borrow().len() <= 2);
     }
 
     #[test]

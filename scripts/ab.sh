@@ -13,8 +13,15 @@
 # working tree first on odd ones, so a slow minute of the machine falls on
 # both. Defaults: every workload in BENCHMARK.json, 10 pairs, seed base 1,
 # 20 s per run. Every run's record goes to stderr as one JSON line
-# {"side", "workload", "seed", "result"} (result = run.sh's JSON line, or
-# null), so `2>runs.jsonl` keeps the raw runs.
+# {"side", "workload", "seed", "steal", "foreign", "result"} (result =
+# run.sh's JSON line, or null), so `2>runs.jsonl` keeps the raw runs.
+#
+# Interference: /proc/stat is read before and after every run. `steal` is
+# the share of all CPU ticks the hypervisor gave to other guests; `foreign`
+# is the share that was busy but not spent by the run's own processes. The
+# summary prints each side's median of both per workload and marks
+# `(noisy)` every pair whose two sides' foreign shares differ by more than
+# NOISY_FOREIGN. It is a report: no pair is dropped from any verdict.
 #
 # Per workload and end-to-end metric (names, `better` and `bound` from
 # BENCHMARK.json) it prints each side's median [q1, q3], how much the change
@@ -39,6 +46,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$PWD
+# A pair is (noisy) when its sides' foreign-busy shares differ by more.
+NOISY_FOREIGN=0.05
 
 usage() {
   echo "usage: $0 <rev> [--workloads a,b] [--pairs N] [--seed-base S] [--seconds S]" >&2
@@ -81,15 +90,35 @@ CARGO_TARGET_DIR=$work_target bash "$root/benchmark/run.sh" --list >/dev/null
 
 runs="$tmp/runs.jsonl"
 : >"$runs"
+# Machine-wide CPU ticks from /proc/stat: total, busy (user, nice, system,
+# irq, softirq; guest time is inside user) and steal.
+machine_ticks() {
+  awk '/^cpu /{print $2+$3+$4+$5+$6+$7+$8+$9, $2+$3+$4+$7+$8, $9; exit}' /proc/stat
+}
+# CPU ticks of this shell's reaped children: a run's whole process tree
+# once its command substitution has returned.
+own_ticks() {
+  awk '{print $16 + $17}' "/proc/$$/stat"
+}
+
 # One run: side, workload, seed. Appends its record to $runs and stderr; a
 # run that prints no JSON line is recorded as null.
 run() {
-  local side=$1 w=$2 seed=$3 dir target line
+  local side=$1 w=$2 seed=$3 dir target line m0 m1 o0 o1 shares
   if [[ $side == base ]]; then dir=$tmp/tree target=$base_target; else dir=$root target=$work_target; fi
+  m0=$(machine_ticks) o0=$(own_ticks)
   line=$(cd "$dir" && CARGO_TARGET_DIR=$target bash benchmark/run.sh \
     --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1) || true
+  m1=$(machine_ticks) o1=$(own_ticks)
   [[ $line == "{"* ]] || line=null
-  echo "{\"side\": \"$side\", \"workload\": \"$w\", \"seed\": $seed, \"result\": $line}" | tee -a "$runs" >&2
+  shares=$(awk -v a="$m0" -v b="$m1" -v own=$((o1 - o0)) 'BEGIN {
+    split(a, x, " "); split(b, y, " ")
+    total = y[1] - x[1]; busy = y[2] - x[2] - own
+    if (total <= 0) total = 1
+    if (busy < 0) busy = 0
+    printf "\"steal\": %.4f, \"foreign\": %.4f", (y[3] - x[3]) / total, busy / total
+  }')
+  echo "{\"side\": \"$side\", \"workload\": \"$w\", \"seed\": $seed, $shares, \"result\": $line}" | tee -a "$runs" >&2
 }
 
 IFS=, read -r -a wls <<<"$workloads"
@@ -102,12 +131,13 @@ for w in "${wls[@]}"; do
   done
 done
 
-python3 - "$runs" "$root/BENCHMARK.json" "$rev" "$workloads" <<'PY'
+python3 - "$runs" "$root/BENCHMARK.json" "$rev" "$workloads" "$NOISY_FOREIGN" <<'PY'
 import json, math, statistics, sys
 
 runs = [json.loads(l) for l in open(sys.argv[1])]
 spec = json.load(open(sys.argv[2]))
 rev, workloads = sys.argv[3][:10], sys.argv[4].split(",")
+noisy_level = float(sys.argv[5])
 
 def quartiles(v):
     if len(v) < 2:
@@ -172,6 +202,20 @@ for w in workloads:
         fmt = lambda m, a, b: f"{num(m)} [{num(a)}, {num(b)}]"
         print(f"{w:<17} {name:<14} {fmt(mb, q1b, q3b):>30} {fmt(mw, q1w, q3w):>30} "
               f"{delta:>+8.1%} {wins:>3}/{n:<2} {ratio:>8} {spread:>7.1%}  {verdict}")
+print(f"\ninterference: share of all CPU ticks during a run, median per side; "
+      f"(noisy) = the pair's foreign shares differ by more than {noisy_level}")
+print(f"{'workload':<17} {'steal base':>10} {'steal work':>10} {'foreign base':>12} {'foreign work':>12}  pairs")
+for w in workloads:
+    side = {s: [r for r in runs if r["workload"] == w and r["side"] == s] for s in ("base", "work")}
+    med = lambda s, k: f"{statistics.median(r[k] for r in side[s]):.1%}" if side[s] else "-"
+    foreign = {(r["seed"], r["side"]): r["foreign"] for r in runs if r["workload"] == w}
+    seeds = sorted({seed for seed, _ in foreign})
+    pairs = [(s, foreign[(s, "base")], foreign[(s, "work")]) for s in seeds
+             if (s, "base") in foreign and (s, "work") in foreign]
+    noisy = [f"seed {s} {b:.1%}/{c:.1%} (noisy)" for s, b, c in pairs if abs(b - c) > noisy_level]
+    print(f"{w:<17} {med('base', 'steal'):>10} {med('work', 'steal'):>10} "
+          f"{med('base', 'foreign'):>12} {med('work', 'foreign'):>12}  "
+          + (", ".join(noisy) if noisy else f"{len(pairs)} clean"))
 if flagged:
     print("\nflagged runs:")
     for f in flagged:
