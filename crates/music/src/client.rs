@@ -39,7 +39,7 @@ use music_simnet::time::{SimDuration, SimTime};
 use music_telemetry::{SpanId, SpanPhase};
 
 use crate::backoff;
-use crate::config::{WriteMode, ACQUIRE_POLL};
+use crate::config::{WriteMode, ACQUIRE_POLL, BREAKER_THRESHOLD};
 use crate::contention::ContentionController;
 use crate::error::{AcquireOutcome, AttemptTrail, CriticalError, MusicError};
 use crate::health::ReplicaHealth;
@@ -128,7 +128,7 @@ where
         let cfg = replicas[0].config();
         let health = ReplicaHealth::new(
             replicas.iter().map(|r| r.node().0).collect(),
-            cfg.breaker_threshold,
+            BREAKER_THRESHOLD,
             cfg.breaker_cooldown,
             replicas[0].recorder(),
         );

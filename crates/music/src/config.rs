@@ -11,6 +11,9 @@ pub const DELTA: SimDuration = SimDuration::from_micros(1);
 /// mechanisms").
 pub const ACQUIRE_POLL: SimDuration = SimDuration::from_millis(2);
 
+/// Consecutive failures after which the client's fail-over skips a replica.
+pub const BREAKER_THRESHOLD: u32 = 3;
+
 /// How `criticalPut` reaches the data store — the paper's MUSIC-vs-MSCP
 /// axis (§VIII-b).
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
@@ -105,9 +108,6 @@ pub struct MusicConfig {
     /// lock. Deliberately imperfect: a slow-but-alive holder will be
     /// preempted (false failure detection, §IV-B).
     pub failure_timeout: SimDuration,
-    /// Consecutive failures at one replica before the client's circuit
-    /// breaker opens and fail-over skips that replica outright.
-    pub breaker_threshold: u32,
     /// How long an open breaker quarantines a replica before admitting a
     /// probationary half-open probe.
     pub breaker_cooldown: SimDuration,
@@ -148,7 +148,6 @@ impl Default for MusicConfig {
             t_max: SimDuration::from_secs(600),
             client_retries: 8,
             failure_timeout: SimDuration::from_secs(30),
-            breaker_threshold: 3,
             breaker_cooldown: SimDuration::from_secs(1),
             put_mode: PutMode::Quorum,
             peek_mode: PeekMode::Local,
@@ -169,7 +168,6 @@ mod tests {
         let c = MusicConfig::default();
         assert!(DELTA < c.t_max);
         assert!(ACQUIRE_POLL < c.failure_timeout);
-        assert!(c.breaker_threshold >= 1);
         assert!(c.breaker_cooldown < c.failure_timeout);
         assert_eq!(c.put_mode, PutMode::Quorum);
         assert_eq!(c.write_mode, WriteMode::Sync);

@@ -224,7 +224,7 @@ struct KeyState {
     lease_suspended: u32,
 }
 
-/// The per-client contention controller: one [`KeyState`] per touched
+/// The per-client contention controller: one `KeyState` per touched
 /// key, updated from signals the client measures anyway. Cheap to clone
 /// (shared state), deterministic (no wall clock, no RNG).
 #[derive(Clone, Debug)]

@@ -19,7 +19,7 @@
 //! transport (`TableApi::Rt = T`), tagging also solves a type-level
 //! problem: both stores' coordinators end up with the same runtime type
 //! `TaggedTransport<TcpTransport>`, which is what
-//! [`MusicReplica`](crate::MusicReplica)`<RT, D, L>` requires
+//! [`MusicReplica`]`<RT, D, L>` requires
 //! (`D::Rt = L::Rt = RT`).
 //!
 //! The rest of the module is the small amount of config plumbing the

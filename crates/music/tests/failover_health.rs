@@ -30,7 +30,6 @@ fn crashed_primary_is_quarantined_and_sections_still_succeed() {
             ..TableConfig::default()
         })
         .music_config(MusicConfig {
-            breaker_threshold: 2,
             breaker_cooldown: cooldown,
             ..MusicConfig::default()
         })

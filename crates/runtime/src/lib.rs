@@ -18,7 +18,9 @@
 //! named nodes, implemented by [`SimTransport`] (payloads ride the
 //! simulated network's latency/partition/loss machinery) and
 //! [`TcpTransport`] (real sockets). The [`wire`] module holds the binary
-//! codec message types implement to cross a socket.
+//! codec message types implement to cross a socket. The [`breaker`] module
+//! holds the circuit breaker that both the client's replica fail-over and
+//! [`TcpTransport`] drive.
 //!
 //! ## Quickstart (native)
 //!
@@ -53,6 +55,7 @@
 
 #![warn(missing_docs)]
 
+pub mod breaker;
 pub mod combinators;
 pub mod native;
 pub mod rt;

@@ -16,9 +16,9 @@
 //! serves them, so replica state needs no locks.
 //!
 //! Writes are bounded so that a peer which stops reading cannot wedge the
-//! executor. One frame gets [`WRITE_TIMEOUT`] plus its length at
-//! [`MIN_WRITE_RATE`] in total across its partial writes, and a blocking
-//! write is cut off at whichever comes first: that deadline or
+//! executor. One frame gets `WRITE_TIMEOUT` (1 s) plus its length at
+//! `MIN_WRITE_RATE` (8 MiB/s) in total across its partial writes, and a
+//! blocking write is cut off at whichever comes first: that deadline or
 //! `WRITE_TIMEOUT` of socket timeout, even when the write moved a few
 //! bytes before its timeout expired. So a small frame gives up within
 //! about a second, and a 64 MiB frame still reaches a live peer over a
@@ -27,19 +27,15 @@
 //! outstanding on it with [`TransportError::Closed`]; the request whose
 //! write failed resolves `Closed` at once and is not resent.
 //!
-//! A peer that timed out — on a write or on connecting — gets no new
-//! connection for [`DOWN_FOR`], and requests to it fail `Closed` at once.
-//! The first request after that opens a connection and goes alone, as a
-//! probe: the others fail `Closed` until the peer answers it. A probe left
-//! unanswered for `DOWN_FOR` drops its connection and starts the window
-//! again. A stopped process's kernel still accepts connections and
-//! buffers a few MiB on each before a write blocks, so without the probe
-//! every reconnect would fill those buffers and stall the executor again;
-//! with it, a hung peer costs each transport one stall. Each timeout is
-//! reported on stderr.
+//! Each peer has a [`Breaker`] that one write or connect timeout opens for
+//! `DOWN_FOR` (2 s), also the probe's deadline: refused requests fail
+//! `Closed` at once, and the probe goes alone, on a new connection. A
+//! stopped process's kernel still accepts connections and buffers a few
+//! MiB on each before a write blocks, so without the probe every reconnect
+//! would fill those buffers and stall the executor again; with it, a hung
+//! peer costs each transport one stall. Each timeout is reported on stderr.
 
 use std::cell::{Cell, RefCell};
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -53,6 +49,7 @@ use std::time::{Duration, Instant};
 use music_simnet::net::NodeId;
 use music_simnet::time::{SimDuration, SimTime};
 
+use crate::breaker::{Admit, Breaker};
 use crate::native::NativeRuntime;
 use crate::rt::Runtime;
 use crate::transport::{RequestFuture, Transport, TransportError};
@@ -83,7 +80,7 @@ const MIN_WRITE_RATE: u64 = 8 << 20;
 /// How long a peer that timed out gets no new connection, and how long a
 /// probe to it may then go unanswered: the store's 2 s retransmit
 /// interval, so a recovered peer is back by the next retransmit round.
-const DOWN_FOR: Duration = Duration::from_secs(2);
+const DOWN_FOR: SimDuration = SimDuration::from_secs(2);
 
 /// The total time one frame of `len` bytes may take to write.
 fn write_budget(len: usize) -> Duration {
@@ -236,9 +233,6 @@ type PendingMap = Arc<Mutex<Slots>>;
 struct Conn {
     stream: TcpStream,
     pending: PendingMap,
-    /// For a connection to a peer that had timed out, when it was opened.
-    /// Until the peer answers, only the first request (the probe) is sent.
-    probing_since: Option<Instant>,
 }
 
 impl Drop for Conn {
@@ -284,13 +278,23 @@ impl Drop for ResponseFuture {
     }
 }
 
+/// One peer's pooled connection and its breaker.
+struct Peer {
+    conn: Option<Conn>,
+    breaker: Breaker,
+}
+
+/// A peer not connected to yet, its breaker closed.
+const NEW_PEER: Peer = Peer {
+    conn: None,
+    breaker: Breaker::new(1, DOWN_FOR, Some(DOWN_FOR)),
+};
+
 struct TcpInner {
     rt: NativeRuntime,
     addrs: HashMap<u32, SocketAddr>,
-    conns: RefCell<HashMap<u32, Conn>>,
+    peers: RefCell<HashMap<u32, Peer>>,
     next_corr: Cell<u64>,
-    /// Peers that timed out, and until when they get no new connection.
-    down_until: RefCell<HashMap<u32, Instant>>,
 }
 
 /// The socket-backed [`Transport`]. Clones share one connection pool.
@@ -307,13 +311,13 @@ impl TcpTransport {
     /// Creates a transport over `rt` that reaches each node id at the given
     /// socket address.
     pub fn new(rt: NativeRuntime, addrs: HashMap<u32, SocketAddr>) -> Self {
+        let peers = addrs.keys().map(|&to| (to, NEW_PEER));
         TcpTransport {
             inner: Rc::new(TcpInner {
                 rt,
+                peers: RefCell::new(peers.collect()),
                 addrs,
-                conns: RefCell::new(HashMap::new()),
                 next_corr: Cell::new(1),
-                down_until: RefCell::new(HashMap::new()),
             }),
         }
     }
@@ -326,43 +330,41 @@ impl TcpTransport {
     /// Drops every pooled connection (used at shutdown; reader threads
     /// exit as their sockets close).
     pub fn disconnect_all(&self) {
-        self.inner.conns.borrow_mut().clear();
+        for peer in self.inner.peers.borrow_mut().values_mut() {
+            peer.conn = None;
+            peer.breaker.cancel_probe();
+        }
     }
 
-    /// Gives `to` no new connection for [`DOWN_FOR`].
-    fn mark_down(&self, to: u32) {
-        let until = Instant::now() + DOWN_FOR;
-        self.inner.down_until.borrow_mut().insert(to, until);
+    /// Feeds `to`'s breaker a failed `what` ("write" or "connect"): a timeout
+    /// opens it, and is said on stderr; any other error calls off a probe.
+    fn failed(&self, to: u32, breaker: &mut Breaker, what: &str, e: &std::io::Error) {
+        if e.kind() == ErrorKind::TimedOut {
+            breaker.on_failure(self.inner.rt.now());
+            let down = Duration::from_micros(DOWN_FOR.as_micros());
+            eprintln!("tcp: node {to}: {what} timed out; no new connection to it for {down:?}");
+        } else {
+            breaker.cancel_probe();
+        }
     }
 
-    /// Marks `to` down because a `what` ("write" or "connect") to it timed
-    /// out, and says so on stderr.
-    fn timed_out(&self, to: u32, what: &str) {
-        self.mark_down(to);
-        eprintln!("tcp: node {to}: {what} timed out; no new connection to it for {DOWN_FOR:?}");
-    }
-
-    fn connect(&self, to: u32) -> Result<Conn, TransportError> {
-        let addr = *self
-            .inner
-            .addrs
-            .get(&to)
-            .ok_or(TransportError::UnknownNode(to))?;
-        let down = self.inner.down_until.borrow().get(&to).copied();
-        if down.is_some_and(|until| Instant::now() < until) {
+    /// Opens a connection to `to` if its breaker admits a request.
+    fn connect(&self, to: u32, breaker: &mut Breaker) -> Result<Conn, TransportError> {
+        if breaker.admit(self.inner.rt.now()) == Admit::Refuse {
             return Err(TransportError::Closed);
         }
-        let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).map_err(|e| {
-            if e.kind() == ErrorKind::TimedOut {
-                self.timed_out(to, "connect");
-            }
-            TransportError::Connect(format!("{addr}: {e}"))
-        })?;
-        stream.set_nodelay(true).ok();
-        let writer = stream
-            .set_write_timeout(Some(WRITE_TIMEOUT))
-            .and_then(|()| stream.try_clone())
-            .map_err(|e| TransportError::Connect(format!("{addr}: {e}")))?;
+        let addr = self.inner.addrs[&to];
+        let (reader, stream) = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)
+            .and_then(|reader| {
+                reader.set_nodelay(true).ok();
+                reader.set_write_timeout(Some(WRITE_TIMEOUT))?;
+                let stream = reader.try_clone()?;
+                Ok((reader, stream))
+            })
+            .map_err(|e| {
+                self.failed(to, breaker, "connect", &e);
+                TransportError::Connect(format!("{addr}: {e}"))
+            })?;
         let pending = PendingMap::default();
         // Reader: complete pending requests as responses arrive; on EOF or
         // error, fail everything still outstanding.
@@ -371,7 +373,7 @@ impl TcpTransport {
             std::thread::Builder::new()
                 .name(format!("tcp-reader-to-{to}"))
                 .spawn(move || {
-                    let mut reader = BufReader::new(stream);
+                    let mut reader = BufReader::new(reader);
                     while let Ok(Some((corr, payload))) = read_frame(&mut reader) {
                         pending
                             .lock()
@@ -382,63 +384,49 @@ impl TcpTransport {
                 })
                 .expect("spawn reader thread");
         }
-        Ok(Conn {
-            stream: writer,
-            pending,
-            probing_since: down.map(|_| Instant::now()),
-        })
+        Ok(Conn { stream, pending })
     }
 
     fn send_request(&self, to: u32, payload: &[u8]) -> Result<ResponseFuture, TransportError> {
         let corr = self.inner.next_corr.get();
         self.inner.next_corr.set(corr + 1);
         let buf = frame(corr, payload);
-        let mut conns = self.inner.conns.borrow_mut();
+        let mut peers = self.inner.peers.borrow_mut();
+        let peer = peers.get_mut(&to).ok_or(TransportError::UnknownNode(to))?;
         // Reconnect once if the pooled connection is missing or closed.
         for _ in 0..2 {
-            let conn = match conns.entry(to) {
-                Entry::Occupied(mut e) => {
-                    let conn = e.get_mut();
-                    if let Some(since) = conn.probing_since {
-                        let answered = conn.pending.lock().expect("pending map poisoned").answered;
-                        if !answered {
-                            // Nothing else goes out until the probe is
-                            // answered; unanswered, the peer is down again.
-                            if since.elapsed() >= DOWN_FOR {
-                                e.remove();
-                                self.mark_down(to);
-                            }
-                            return Err(TransportError::Closed);
-                        }
-                        conn.probing_since = None;
-                        self.inner.down_until.borrow_mut().remove(&to);
+            let conn = match peer.conn.take() {
+                Some(conn) if peer.breaker.is_closed() => conn,
+                // Nothing else goes out until the probe is answered; `admit`
+                // re-opens the breaker once the probe is `DOWN_FOR` old.
+                Some(conn) => {
+                    let now = self.inner.rt.now();
+                    if !conn.pending.lock().expect("pending map poisoned").answered {
+                        peer.breaker.admit(now);
+                        peer.conn = (!peer.breaker.is_open(now)).then_some(conn);
+                        return Err(TransportError::Closed);
                     }
-                    e.into_mut()
+                    peer.breaker.on_success(now);
+                    conn
                 }
-                Entry::Vacant(e) => e.insert(self.connect(to)?),
+                None => self.connect(to, &mut peer.breaker)?,
             };
             let pending = Arc::clone(&conn.pending);
-            if !pending.lock().expect("pending map poisoned").open(corr) {
-                conns.remove(&to);
+            let fut = ResponseFuture { pending, corr };
+            if !fut.pending.lock().expect("pending map poisoned").open(corr) {
+                peer.breaker.cancel_probe();
                 continue;
             }
             if let Err(e) = write_frame(&conn.stream, &buf) {
                 // The socket is shut down; its reader fails the other
-                // outstanding requests. This one fails now and is not
-                // resent: the next request reconnects, after a timeout
-                // only once the peer's down window has passed.
-                pending
-                    .lock()
-                    .expect("pending map poisoned")
-                    .slots
-                    .remove(&corr);
-                conns.remove(&to);
-                if e.kind() == ErrorKind::TimedOut {
-                    self.timed_out(to, "write");
-                }
+                // outstanding requests. This one fails now (dropping `fut`
+                // forgets its slot) and is not resent: the next request
+                // reconnects, after a timeout once the peer's breaker lets it.
+                self.failed(to, &mut peer.breaker, "write", &e);
                 return Err(TransportError::Closed);
             }
-            return Ok(ResponseFuture { pending, corr });
+            peer.conn = Some(conn);
+            return Ok(fut);
         }
         Err(TransportError::Closed)
     }
@@ -605,7 +593,7 @@ impl TcpServer {
     }
 
     /// A flag shared with the drain task; setting it (via
-    /// [`TcpServer::shutdown`]) stops serving.
+    /// [`TcpServerHandle::shutdown`]) stops serving.
     pub fn shutdown_handle(&self) -> TcpServerHandle {
         TcpServerHandle {
             shared: Arc::clone(&self.shared),
@@ -670,6 +658,20 @@ impl TcpServerHandle {
 mod tests {
     use super::*;
     use std::future::Future;
+
+    /// Feeds peer 1's breaker an event `ago` before now: the tests move its
+    /// clock rather than sleep through a window.
+    fn backdate<R>(
+        t: &TcpTransport,
+        ago: SimDuration,
+        event: impl FnOnce(&mut Breaker, SimTime) -> R,
+    ) -> R {
+        let at = SimTime::from_micros(t.now().as_micros() - ago.as_micros());
+        event(
+            &mut t.inner.peers.borrow_mut().get_mut(&1).unwrap().breaker,
+            at,
+        )
+    }
 
     /// A connected loopback socket pair: write raw bytes on one end, run
     /// the framing decoder on the other.
@@ -933,8 +935,8 @@ mod tests {
         let t = TcpTransport::new(rt.clone(), HashMap::from([(1u32, addr)]));
         let mut cx = Context::from_waker(Waker::noop());
         let big = || vec![0xC3; 64 * 1024];
-        // Window passed (the test moves the clock rather than sleep).
-        let expire_window = || t.inner.down_until.borrow_mut().insert(1, Instant::now());
+        // Window passed: a timeout `DOWN_FOR` ago.
+        let expire_window = || backdate(&t, DOWN_FOR, Breaker::on_failure);
         let mut blocked = Duration::ZERO;
         let mut failed = 0;
         // 32 MiB: several times what one connection's buffers hold, so
@@ -969,20 +971,17 @@ mod tests {
             );
         }
         // A probe unanswered for DOWN_FOR drops its connection and starts
-        // the window again.
-        let since = Instant::now() - DOWN_FOR;
-        t.inner
-            .conns
-            .borrow_mut()
-            .get_mut(&1)
-            .unwrap()
-            .probing_since = Some(since);
+        // the window again. (The probe on this connection is moved to have
+        // gone out `DOWN_FOR` ago, after a window that started before it.)
+        backdate(&t, DOWN_FOR * 2, Breaker::on_failure);
+        let admit = backdate(&t, DOWN_FOR, Breaker::admit);
+        assert_eq!(admit, Admit::Probe);
         let mut fut = t.request(NodeId(0), NodeId(1), b"x".to_vec());
         assert_eq!(
             fut.as_mut().poll(&mut cx),
             Poll::Ready(Err(TransportError::Closed))
         );
-        assert!(t.inner.conns.borrow().is_empty());
+        assert!(t.inner.peers.borrow()[&1].conn.is_none());
         assert_eq!(rt.block_on(probe), Err(TransportError::Closed));
 
         // The peer wakes up and serves every connection it queued: the
@@ -1010,7 +1009,41 @@ mod tests {
         assert_eq!(rt.block_on(probe), Ok(b"probe".to_vec()));
         let after = t.request(NodeId(0), NodeId(1), b"after".to_vec());
         assert_eq!(rt.block_on(after), Ok(b"after".to_vec()));
-        assert!(t.inner.down_until.borrow().is_empty());
+        assert!(t.inner.peers.borrow()[&1].breaker.is_closed());
+        t.disconnect_all();
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn a_probe_whose_connect_is_refused_leaves_the_peer_probeable() {
+        // A free port: nothing listens there, so a connect is refused.
+        let addr = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let rt = NativeRuntime::new();
+        let t = TcpTransport::new(rt.clone(), HashMap::from([(1u32, addr)]));
+        backdate(&t, DOWN_FOR, Breaker::on_failure);
+        let refused = rt.block_on(t.request(NodeId(0), NodeId(1), b"probe".to_vec()));
+        assert!(
+            matches!(refused, Err(TransportError::Connect(_))),
+            "{refused:?}"
+        );
+        // The peer listens again: the next request is a probe that reaches
+        // it, and its answer closes the breaker.
+        let listener = TcpListener::bind(addr).unwrap();
+        let peer = std::thread::spawn(move || {
+            let (s, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(&s);
+            while let Ok(Some((corr, payload))) = read_frame(&mut reader) {
+                (&s).write_all(&frame(corr, &payload)).unwrap();
+            }
+        });
+        let again = t.request(NodeId(0), NodeId(1), b"again".to_vec());
+        assert_eq!(rt.block_on(again), Ok(b"again".to_vec()));
+        let after = t.request(NodeId(0), NodeId(1), b"after".to_vec());
+        assert_eq!(rt.block_on(after), Ok(b"after".to_vec()));
+        assert!(t.inner.peers.borrow()[&1].breaker.is_closed());
         t.disconnect_all();
         peer.join().unwrap();
     }

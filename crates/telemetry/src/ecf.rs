@@ -1,6 +1,6 @@
 //! The ECF properties (§IV of the paper) as per-key transitions.
 //!
-//! [`EcfKey`] holds one key's state and [`EcfKey::apply`] is its
+//! `EcfKey` holds one key's state and `EcfKey::apply` is its
 //! transition function. The streaming checker ([`crate::online`]) embeds
 //! one per live key; [`check`] replays a recorded event log through it.
 //! Per key, the rules are:
