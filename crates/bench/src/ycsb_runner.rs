@@ -8,7 +8,7 @@ use bytes::Bytes;
 
 use music::{AcquireOutcome, CriticalError};
 use music_simnet::metrics::Histogram;
-use music_simnet::time::{SimDuration, SimTime};
+use music_simnet::time::SimDuration;
 use music_simnet::topology::LatencyProfile;
 use music_workload::sweep::payload;
 use music_workload::{Op, WorkloadKind, WorkloadSpec};
@@ -233,11 +233,6 @@ async fn run_update(
         }
     }
     false
-}
-
-/// Virtual start-of-run marker for tests.
-pub fn _start_marker() -> SimTime {
-    SimTime::ZERO
 }
 
 #[cfg(test)]

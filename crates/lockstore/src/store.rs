@@ -4,6 +4,7 @@ use music_quorumstore::{ReplicatedTable, StoreError, TableApi, TableConfig, Writ
 use music_runtime::Runtime;
 use music_simnet::net::{Network, NodeId};
 use music_simnet::time::SimTime;
+use music_telemetry::{EventKind, Scope};
 
 use crate::partition::{LockEntry, LockMutation, LockPartition, LockRef};
 
@@ -239,42 +240,34 @@ impl<Tbl: TableApi<LockPartition>> LockStore<Tbl> {
             return Ok(EnqueueOutcome::LeaseBlocked(blocked.get()));
         }
         let first = minted.get();
-        let rec = self.table.recorder();
-        if rec.is_on() {
-            let node = music_telemetry::Scope::Node(coord.0);
-            if broke.get() != LockRef::NONE {
-                rec.count(node, "lease_breaks", 1);
-            }
-            if count > 1 {
-                rec.count(node, "enqueue_combines", 1);
-                rec.count(node, "combined_refs", u64::from(count));
-            }
-            if rec.is_tracing() {
-                let rt = self.table.rt();
-                let record = |kind| rec.record(rt.now().as_micros(), rt.trace(), coord.0, kind);
-                if broke.get() != LockRef::NONE {
-                    record(music_telemetry::EventKind::LeaseBreak {
-                        key: key.to_string(),
-                        lock_ref: broke.get().value(),
-                    });
-                }
-                if req.batch.is_some() {
-                    record(music_telemetry::EventKind::EnqueueCombine {
-                        key: key.to_string(),
-                        first: first.value(),
-                        count,
-                    });
-                }
-                // One `lockEnqueue` per minted reference, in ascending
-                // (queue) order — the stream the refinement checker sees is
-                // indistinguishable from `count` well-ordered singles.
-                for i in 0..u64::from(count) {
-                    record(music_telemetry::EventKind::LockEnqueue {
-                        key: key.to_string(),
-                        lock_ref: first.value() + i,
-                    });
-                }
-            }
+        let (rec, rt, node) = (self.table.recorder(), self.table.rt(), Scope::Node(coord.0));
+        let (at_us, trace) = (rt.now().as_micros(), rt.trace());
+        if broke.get() != LockRef::NONE {
+            rec.count(node, "lease_breaks", 1);
+            rec.record(at_us, trace, coord.0, || EventKind::LeaseBreak {
+                key: key.to_string(),
+                lock_ref: broke.get().value(),
+            });
+        }
+        if count > 1 {
+            rec.count(node, "enqueue_combines", 1);
+            rec.count(node, "combined_refs", u64::from(count));
+        }
+        if req.batch.is_some() {
+            rec.record(at_us, trace, coord.0, || EventKind::EnqueueCombine {
+                key: key.to_string(),
+                first: first.value(),
+                count,
+            });
+        }
+        // One `lockEnqueue` per minted reference, in ascending (queue)
+        // order — the stream the refinement checker sees is
+        // indistinguishable from `count` well-ordered singles.
+        for i in 0..u64::from(count) {
+            rec.record(at_us, trace, coord.0, || EventKind::LockEnqueue {
+                key: key.to_string(),
+                lock_ref: first.value() + i,
+            });
         }
         Ok(EnqueueOutcome::Minted { first, count })
     }
@@ -366,9 +359,7 @@ impl<Tbl: TableApi<LockPartition>> LockStore<Tbl> {
         // The `leaseGrant` event is the caller's to record: only it knows
         // whether the lease can still be claimed now that the LWT returned.
         let rec = self.table.recorder();
-        if rec.is_on() {
-            rec.count(music_telemetry::Scope::Node(coord.0), "lease_grants", 1);
-        }
+        rec.count(Scope::Node(coord.0), "lease_grants", 1);
         Ok(Some((granted.get(), until)))
     }
 

@@ -36,7 +36,7 @@ use music_quorumstore::{DataRow, Put, ReplicatedTable, StoreError, TableApi};
 use music_runtime::Runtime;
 use music_simnet::executor::Sim;
 use music_simnet::time::{SimDuration, SimTime};
-use music_telemetry::{SpanId, SpanPhase};
+use music_telemetry::{EventKind, Scope, SpanId, SpanPhase};
 
 use crate::backoff;
 use crate::config::{WriteMode, ACQUIRE_POLL, BREAKER_THRESHOLD};
@@ -202,98 +202,31 @@ where
         self.primary().config().client_retries
     }
 
-    /// Records one replica fail-over: bumps the global counter and, when
-    /// tracing, emits a `clientFailover` event under the current trace.
+    /// Records a telemetry event attributed to this client's home
+    /// (primary) replica, stamped with the client's clock and the running
+    /// task's trace tag.
+    fn emit(&self, kind: impl FnOnce() -> EventKind) {
+        let (rec, node) = (self.primary().recorder(), self.primary().node().0);
+        rec.record(self.rt.now().as_micros(), self.rt.trace(), node, kind);
+    }
+
+    /// Records one replica fail-over: bumps the global counter and emits a
+    /// `clientFailover` event under the current trace.
     fn note_failover(&self, op: &'static str, attempt: u32, cause: &'static str) {
         let rec = self.primary().recorder();
-        if !rec.is_on() {
-            return;
-        }
-        rec.count(music_telemetry::Scope::Global, "client_failovers", 1);
-        if rec.is_tracing() {
-            rec.record(
-                self.rt.now().as_micros(),
-                self.rt.trace(),
-                self.primary().node().0,
-                music_telemetry::EventKind::ClientFailover { op, attempt, cause },
-            );
-        }
+        rec.count(Scope::Global, "client_failovers", 1);
+        self.emit(|| EventKind::ClientFailover { op, attempt, cause });
     }
 
-    /// Records the start of a flush barrier over `pending` in-flight puts.
-    fn note_flush(&self, key: &str, lock_ref: LockRef, pending: u64) {
-        let rec = self.primary().recorder();
-        if !rec.is_on() {
-            return;
-        }
-        rec.count(music_telemetry::Scope::Global, "cs_flushes", 1);
-        if rec.is_tracing() {
-            rec.record(
-                self.rt.now().as_micros(),
-                self.rt.trace(),
-                self.primary().node().0,
-                music_telemetry::EventKind::CsFlush {
-                    key: key.to_string(),
-                    lock_ref: lock_ref.value(),
-                    pending,
-                },
-            );
-        }
+    /// Opens a phase span on the client's clock, attributed to its home
+    /// (primary) replica; see [`MusicReplica::phase_open`].
+    fn phase_open(&self, phase: SpanPhase, key: &str) -> (SpanId, u64) {
+        self.primary().phase_open(&self.rt, phase, key)
     }
 
-    /// Records a flush that could not acknowledge every in-flight put.
-    fn note_flush_failure(&self) {
-        let rec = self.primary().recorder();
-        if rec.is_on() {
-            rec.count(music_telemetry::Scope::Global, "flush_failures", 1);
-        }
-    }
-
-    /// Records one pipelined issue and the in-flight high-water mark.
-    fn note_inflight(&self, depth: usize) {
-        let rec = self.primary().recorder();
-        if rec.is_on() {
-            rec.count(music_telemetry::Scope::Global, "pipelined_puts", 1);
-            rec.gauge_max(
-                music_telemetry::Scope::Global,
-                "cs_inflight_peak",
-                depth as u64,
-            );
-        }
-    }
-
-    /// Opens a phase span parented on the task's current span, attributed
-    /// to this client's home (primary) replica. No-op unless tracing;
-    /// returns `(span, previous tag)` for [`MusicClient::span_close`].
-    fn span_open(&self, phase: SpanPhase, key: &str) -> (SpanId, u64) {
-        let rec = self.primary().recorder();
-        if !rec.is_tracing() {
-            return (0, 0);
-        }
-        let parent = self.rt.span();
-        let id = rec.span_open(
-            self.rt.now().as_micros(),
-            parent,
-            self.rt.trace(),
-            self.primary().node().0,
-            self.primary().site(),
-            phase,
-            key,
-        );
-        self.rt.set_span(id);
-        (id, parent)
-    }
-
-    /// Closes a phase span and restores the task's previous span tag.
-    fn span_close(&self, token: (SpanId, u64)) {
-        let (id, parent) = token;
-        if id == 0 {
-            return;
-        }
-        self.primary()
-            .recorder()
-            .span_close(self.rt.now().as_micros(), id);
-        self.rt.set_span(parent);
+    /// Closes a phase span opened by [`MusicClient::phase_open`].
+    fn phase_close(&self, span: (SpanId, u64)) {
+        self.primary().phase_close(&self.rt, span);
     }
 
     /// Records one per-key grant for fairness accounting and feeds the
@@ -304,29 +237,16 @@ where
     /// `strategySwitch` event.
     fn note_grant(&self, key: &str, entered: SimTime) {
         let wait = self.rt.now() - entered;
-        if let Some((mode, ewma)) = self.contention.on_grant_wait(key, wait.as_micros()) {
-            let rec = self.primary().recorder();
-            if rec.is_on() {
-                rec.count(music_telemetry::Scope::Global, "strategy_switches", 1);
-                if rec.is_tracing() {
-                    rec.record(
-                        self.rt.now().as_micros(),
-                        self.rt.trace(),
-                        self.primary().node().0,
-                        music_telemetry::EventKind::StrategySwitch {
-                            key: key.to_string(),
-                            mode: mode.label(),
-                            wait_us: ewma,
-                        },
-                    );
-                }
-            }
-        }
         let rec = self.primary().recorder();
-        if !rec.is_on() {
-            return;
+        if let Some((mode, ewma)) = self.contention.on_grant_wait(key, wait.as_micros()) {
+            rec.count(Scope::Global, "strategy_switches", 1);
+            self.emit(|| EventKind::StrategySwitch {
+                key: key.to_string(),
+                mode: mode.label(),
+                wait_us: ewma,
+            });
         }
-        let site = music_telemetry::Scope::Site(self.primary().site());
+        let site = Scope::Site(self.primary().site());
         rec.count(site, "sections_entered", 1);
         rec.observe(site, "grant_wait_us", wait.as_micros());
     }
@@ -350,21 +270,12 @@ where
             return Ok(());
         };
         let rec = primary.recorder();
-        if rec.is_on() {
-            rec.count(music_telemetry::Scope::Global, "admission_rejects", 1);
-            if rec.is_tracing() {
-                rec.record(
-                    self.rt.now().as_micros(),
-                    self.rt.trace(),
-                    primary.node().0,
-                    music_telemetry::EventKind::AdmissionReject {
-                        key: key.to_string(),
-                        depth: depth as u64,
-                        retry_after_us: retry_after.as_micros(),
-                    },
-                );
-            }
-        }
+        rec.count(Scope::Global, "admission_rejects", 1);
+        self.emit(|| EventKind::AdmissionReject {
+            key: key.to_string(),
+            depth: depth as u64,
+            retry_after_us: retry_after.as_micros(),
+        });
         Err(MusicError::Overloaded { retry_after })
     }
 
@@ -780,7 +691,7 @@ where
         // The section root span stays open until release (or drop) and
         // every phase below — including replica-side headship confirms —
         // parents onto it through the task's span tag.
-        let section_span = self.span_open(SpanPhase::Section, key);
+        let section_span = self.phase_open(SpanPhase::Section, key);
         let holds_lease = self.leases.borrow().contains_key(key);
         if holds_lease && !self.contention.lease_retention_allowed(key) {
             // Anti-starvation: while retention is suspended, hand the key
@@ -802,7 +713,7 @@ where
         // from admission control: every enter that reaches the enqueue is
         // checked, lease holders included.
         if let Err(e) = self.admission_check(key).await {
-            self.span_close(section_span);
+            self.phase_close(section_span);
             return Err(e);
         }
         // Anti-starvation politeness: while lease retention is suspended
@@ -814,8 +725,8 @@ where
         if let Some(patience) = self.contention.enqueue_yield(key) {
             self.yield_to_competitors(key, patience).await;
         }
-        let acquire_span = self.span_open(SpanPhase::LockAcquire, key);
-        let enqueue_span = self.span_open(SpanPhase::Enqueue, key);
+        let acquire_span = self.phase_open(SpanPhase::LockAcquire, key);
+        let enqueue_span = self.phase_open(SpanPhase::Enqueue, key);
         let lock_ref = if self.contention.combine_now(key) {
             self.with_failover("createLockRef", |r| {
                 let key = key.to_string();
@@ -825,22 +736,22 @@ where
         } else {
             self.create_lock_ref(key).await
         };
-        self.span_close(enqueue_span);
+        self.phase_close(enqueue_span);
         let lock_ref = match lock_ref {
             Ok(r) => r,
             Err(e) => {
-                self.span_close(acquire_span);
-                self.span_close(section_span);
+                self.phase_close(acquire_span);
+                self.phase_close(section_span);
                 return Err(e);
             }
         };
         let entered_at = self.rt.now();
-        let head_wait_span = self.span_open(SpanPhase::HeadWait, key);
+        let head_wait_span = self.phase_open(SpanPhase::HeadWait, key);
         let acquired = self.acquire_lock(key, lock_ref).await;
-        self.span_close(head_wait_span);
-        self.span_close(acquire_span);
+        self.phase_close(head_wait_span);
+        self.phase_close(acquire_span);
         if let Err(e) = acquired {
-            self.span_close(section_span);
+            self.phase_close(section_span);
             return Err(e);
         }
         self.note_grant(key, t0);
@@ -882,7 +793,7 @@ where
         if !crate::timestamp::lease_claimable(self.rt.now(), grant.until, eps) {
             return None;
         }
-        let span = self.span_open(SpanPhase::LeaseReenter, key);
+        let span = self.phase_open(SpanPhase::LeaseReenter, key);
         // A couple of polls tolerate a local replica that has not yet
         // applied the release LWT; beyond that, fall back rather than spin.
         let mut reentered = None;
@@ -903,7 +814,7 @@ where
                 Err(_) => break,
             }
         }
-        self.span_close(span);
+        self.phase_close(span);
         reentered
     }
 
@@ -1204,9 +1115,9 @@ where
     /// See [`MusicClient::critical_get`]; also any flush error.
     pub async fn get(&self) -> Result<Option<Bytes>, MusicError> {
         self.flush().await?;
-        let span = self.client.span_open(SpanPhase::DataGet, &self.key);
+        let span = self.client.phase_open(SpanPhase::DataGet, &self.key);
         let r = self.client.critical_get(&self.key, self.lock_ref).await;
-        self.client.span_close(span);
+        self.client.phase_close(span);
         r
     }
 
@@ -1224,12 +1135,12 @@ where
         match self.write_mode {
             WriteMode::Sync => {
                 self.check_poisoned()?;
-                let span = self.client.span_open(SpanPhase::DataPut, &self.key);
+                let span = self.client.phase_open(SpanPhase::DataPut, &self.key);
                 let r = self
                     .client
                     .critical_put(&self.key, self.lock_ref, value)
                     .await;
-                self.client.span_close(span);
+                self.client.phase_close(span);
                 r
             }
             WriteMode::Pipelined { .. } => self.put_async(value).await,
@@ -1257,9 +1168,9 @@ where
         // launch): pipelined acks land later and are accounted by the
         // flush span, which is exactly the decomposition the pipelining
         // optimization is supposed to show off.
-        let span = self.client.span_open(SpanPhase::DataPut, &self.key);
+        let span = self.client.phase_open(SpanPhase::DataPut, &self.key);
         let r = self.put_async_inner(value, window).await;
-        self.client.span_close(span);
+        self.client.phase_close(span);
         r
     }
 
@@ -1286,7 +1197,9 @@ where
                 pending.push_back(pp);
                 pending.len()
             };
-            self.client.note_inflight(depth);
+            let rec = self.client.primary().recorder();
+            rec.count(Scope::Global, "pipelined_puts", 1);
+            rec.gauge_max(Scope::Global, "cs_inflight_peak", depth as u64);
         }
         Ok(())
     }
@@ -1315,7 +1228,8 @@ where
         // failure detector's forcedRelease sets the flag before dequeueing.
         self.poisoned.set(Some(err));
         self.pending.borrow_mut().clear();
-        self.client.note_flush_failure();
+        let rec = self.client.primary().recorder();
+        rec.count(Scope::Global, "flush_failures", 1);
         self.mark_synch_best_effort().await;
         Err(err)
     }
@@ -1343,10 +1257,16 @@ where
         if n == 0 {
             return Ok(());
         }
-        self.client.note_flush(&self.key, self.lock_ref, n as u64);
-        let span = self.client.span_open(SpanPhase::Flush, &self.key);
+        let rec = self.client.primary().recorder();
+        rec.count(Scope::Global, "cs_flushes", 1);
+        self.client.emit(|| EventKind::CsFlush {
+            key: self.key.clone(),
+            lock_ref: self.lock_ref.value(),
+            pending: n as u64,
+        });
+        let span = self.client.phase_open(SpanPhase::Flush, &self.key);
         let r = self.drain_pending().await;
-        self.client.span_close(span);
+        self.client.phase_close(span);
         r
     }
 
@@ -1389,15 +1309,15 @@ where
                 // EWMA, clamped to the safety floor/ceiling (identity when
                 // the controller is disabled).
                 let window = self.client.contention.auto_window(&self.key, window);
-                let span = self.client.span_open(SpanPhase::LeaseHandoff, &self.key);
+                let span = self.client.phase_open(SpanPhase::LeaseHandoff, &self.key);
                 let res = self.release_leased(window).await;
-                self.client.span_close(span);
+                self.client.phase_close(span);
                 res
             }
             None => {
-                let span = self.client.span_open(SpanPhase::Release, &self.key);
+                let span = self.client.phase_open(SpanPhase::Release, &self.key);
                 let res = self.client.release_lock(&self.key, self.lock_ref).await;
-                self.client.span_close(span);
+                self.client.phase_close(span);
                 res
             }
         };

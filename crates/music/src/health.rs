@@ -35,7 +35,8 @@ impl ReplicaHealth {
     }
 
     /// Whether replica `idx`'s breaker is still cooling down at `now`.
-    pub fn is_open(&self, idx: usize, now: SimTime) -> bool {
+    #[cfg(test)]
+    fn is_open(&self, idx: usize, now: SimTime) -> bool {
         self.breakers.borrow()[idx].is_open(now)
     }
 
@@ -50,9 +51,10 @@ impl ReplicaHealth {
             let idx = (preferred + off) % n;
             let admit = self.breakers.borrow_mut()[idx].admit(now);
             if admit == Admit::Probe {
-                let node = self.nodes[idx];
-                let event = EventKind::BreakerProbe { node };
-                self.note(node, now, trace, "breaker_probes", event);
+                let (node, rec) = (self.nodes[idx], &self.recorder);
+                rec.count(Scope::Node(node), "breaker_probes", 1);
+                let event = || EventKind::BreakerProbe { node };
+                rec.record(now.as_micros(), trace, node, event);
             }
             if admit != Admit::Refuse {
                 return idx;
@@ -67,10 +69,11 @@ impl ReplicaHealth {
         let closed = self.breakers.borrow_mut()[idx].on_success(now);
         if let Some(open_for) = closed {
             let (node, open_us) = (self.nodes[idx], open_for.as_micros());
-            self.recorder
-                .observe(Scope::Node(node), "replica_recovery_us", open_us);
-            let event = EventKind::BreakerClose { node, open_us };
-            self.note(node, now, trace, "breaker_closes", event);
+            let rec = &self.recorder;
+            rec.observe(Scope::Node(node), "replica_recovery_us", open_us);
+            rec.count(Scope::Node(node), "breaker_closes", 1);
+            let event = || EventKind::BreakerClose { node, open_us };
+            rec.record(now.as_micros(), trace, node, event);
         }
     }
 
@@ -78,17 +81,10 @@ impl ReplicaHealth {
     pub fn on_failure(&self, idx: usize, now: SimTime, trace: u64) {
         let tripped = self.breakers.borrow_mut()[idx].on_failure(now);
         if let Some(failures) = tripped {
-            let node = self.nodes[idx];
-            let event = EventKind::BreakerTrip { node, failures };
-            self.note(node, now, trace, "breaker_trips", event);
-        }
-    }
-
-    /// Counts `counter` for replica `node` and traces `event`.
-    fn note(&self, node: u32, now: SimTime, trace: u64, counter: &'static str, event: EventKind) {
-        self.recorder.count(Scope::Node(node), counter, 1);
-        if self.recorder.is_tracing() {
-            self.recorder.record(now.as_micros(), trace, node, event);
+            let (node, rec) = (self.nodes[idx], &self.recorder);
+            rec.count(Scope::Node(node), "breaker_trips", 1);
+            let event = || EventKind::BreakerTrip { node, failures };
+            rec.record(now.as_micros(), trace, node, event);
         }
     }
 }

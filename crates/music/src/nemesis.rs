@@ -314,8 +314,8 @@ fn record_fault(net: &Network, fault: &'static str, target: String, param: u64, 
         },
         1,
     );
-    if rec.is_tracing() {
-        let kind = if heal {
+    let kind = || {
+        if heal {
             EventKind::FaultHeal { fault, target }
         } else {
             EventKind::FaultInject {
@@ -323,9 +323,9 @@ fn record_fault(net: &Network, fault: &'static str, target: String, param: u64, 
                 target,
                 param,
             }
-        };
-        rec.record(net.sim().now().as_micros(), 0, u32::MAX, kind);
-    }
+        }
+    };
+    rec.record(net.sim().now().as_micros(), 0, u32::MAX, kind);
 }
 
 /// Applies `pf` (inject at `pf.start`, heal `pf.duration` later).

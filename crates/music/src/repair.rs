@@ -12,6 +12,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use music_simnet::time::SimDuration;
+use music_telemetry::{EventKind, Scope};
 
 use crate::replica::MusicReplica;
 
@@ -66,20 +67,11 @@ impl RepairDaemon {
             round += n;
         }
         self.sweeps.set(self.sweeps.get() + 1);
-        let rec = self.replica.recorder();
-        if rec.is_on() {
-            rec.count(music_telemetry::Scope::Node(node.0), "repair_sweeps", 1);
-            rec.count(music_telemetry::Scope::Node(node.0), "keys_repaired", round);
-            if rec.is_tracing() {
-                let sim = self.replica.data().net().sim();
-                rec.record(
-                    sim.now().as_micros(),
-                    sim.trace(),
-                    node.0,
-                    music_telemetry::EventKind::RepairRound { repaired: round },
-                );
-            }
-        }
+        let (rec, sim) = (self.replica.recorder(), self.replica.data().net().sim());
+        rec.count(Scope::Node(node.0), "repair_sweeps", 1);
+        rec.count(Scope::Node(node.0), "keys_repaired", round);
+        let event = || EventKind::RepairRound { repaired: round };
+        rec.record(sim.now().as_micros(), sim.trace(), node.0, event);
     }
 
     /// Spawns the periodic sweep loop.

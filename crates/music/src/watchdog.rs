@@ -15,6 +15,7 @@ use std::rc::Rc;
 
 use music_lockstore::{LockEntry, LockRef};
 use music_simnet::time::{SimDuration, SimTime};
+use music_telemetry::{EventKind, Scope};
 
 use crate::replica::MusicReplica;
 use crate::timestamp::lease_breakable;
@@ -209,31 +210,18 @@ impl Watchdog {
     /// Records one ε-deferred revocation (counter + telemetry).
     fn note_drift_defer(&self, key: &str, head: LockRef, now: SimTime, until: SimTime) {
         self.drift_defers.set(self.drift_defers.get() + 1);
-        let rec = self.replica.recorder();
-        if !rec.is_on() {
-            return;
-        }
+        let (rec, rt) = (self.replica.recorder(), self.replica.runtime());
         let node = self.replica.node().0;
-        rec.count(
-            music_telemetry::Scope::Node(node),
-            "watchdog_drift_defers",
-            1,
-        );
-        if rec.is_tracing() {
-            let rt = self.replica.runtime();
-            rec.record(
-                rt.now().as_micros(),
-                rt.trace(),
-                node,
-                music_telemetry::EventKind::LeaseDriftReject {
-                    key: key.to_string(),
-                    lock_ref: head.value(),
-                    guard: "break",
-                    now_us: now.as_micros(),
-                    until_us: until.as_micros(),
-                },
-            );
-        }
+        rec.count(Scope::Node(node), "watchdog_drift_defers", 1);
+        rec.record(rt.now().as_micros(), rt.trace(), node, || {
+            EventKind::LeaseDriftReject {
+                key: key.to_string(),
+                lock_ref: head.value(),
+                guard: "break",
+                now_us: now.as_micros(),
+                until_us: until.as_micros(),
+            }
+        });
     }
 
     /// Spawns the periodic scan loop on the replica's simulation.
@@ -296,28 +284,20 @@ impl Watchdog {
         if expired_lease {
             self.lease_revocations.set(self.lease_revocations.get() + 1);
         }
-        let rec = self.replica.recorder();
-        if rec.is_on() {
-            let node = self.replica.node().0;
-            let counter = if expired_lease {
-                "watchdog_lease_revocations"
-            } else {
-                "watchdog_preemptions"
-            };
-            rec.count(music_telemetry::Scope::Node(node), counter, 1);
-            if rec.is_tracing() {
-                let sim = self.replica.runtime();
-                rec.record(
-                    sim.now().as_micros(),
-                    sim.trace(),
-                    node,
-                    music_telemetry::EventKind::WatchdogPreempt {
-                        key: key.to_string(),
-                        lock_ref: head.value(),
-                    },
-                );
+        let (rec, rt) = (self.replica.recorder(), self.replica.runtime());
+        let node = self.replica.node().0;
+        let counter = if expired_lease {
+            "watchdog_lease_revocations"
+        } else {
+            "watchdog_preemptions"
+        };
+        rec.count(Scope::Node(node), counter, 1);
+        rec.record(rt.now().as_micros(), rt.trace(), node, || {
+            EventKind::WatchdogPreempt {
+                key: key.to_string(),
+                lock_ref: head.value(),
             }
-        }
+        });
         // Whatever heads the key next, its clock starts afresh.
         self.observed.borrow_mut().remove(key);
     }

@@ -220,23 +220,11 @@ impl<P: Partition, L: ReplicaLink<P>> Table<P, L> {
         self.inner.placement.quorum()
     }
 
-    /// Emits a telemetry event attributed to `node`, stamped with the
-    /// runtime's clock and the running task's trace tag. No-op unless the
-    /// recorder is tracing.
+    /// Records a telemetry event attributed to `node`, stamped with the
+    /// runtime's clock and the running task's trace tag.
     fn emit(&self, node: NodeId, kind: impl FnOnce() -> EventKind) {
-        let rec = self.inner.link.recorder();
-        if rec.is_tracing() {
-            let rt = self.rt();
-            rec.record(rt.now().as_micros(), rt.trace(), node.0, kind());
-        }
-    }
-
-    /// Bumps a per-node counter on the recorder.
-    fn count(&self, node: NodeId, name: &'static str, n: u64) {
-        let rec = self.inner.link.recorder();
-        if rec.is_on() {
-            rec.count(Scope::Node(node.0), name, n);
-        }
+        let (rt, rec) = (self.rt(), self.link().recorder());
+        rec.record(rt.now().as_micros(), rt.trace(), node.0, kind);
     }
 
     /// Spawns one reliable request per replica of `key`; `pick` names the
@@ -380,7 +368,8 @@ impl<P: Partition, L: ReplicaLink<P>> Table<P, L> {
         };
         self.quorum_of(coord, key, &req, StoreResp::ack, need)
             .await?;
-        self.count(coord, "quorum_writes", 1);
+        let rec = self.link().recorder();
+        rec.count(Scope::Node(coord.0), "quorum_writes", 1);
         self.emit(coord, || EventKind::QuorumWrite {
             key: key.to_string(),
             acks: need as u32,
@@ -412,14 +401,15 @@ impl<P: Partition, L: ReplicaLink<P>> Table<P, L> {
     /// [`StoreError::Unavailable`] if a majority does not answer in time.
     pub async fn read_quorum(&self, coord: NodeId, key: &str) -> Result<P::Snapshot, StoreError> {
         let snaps = self.read_replies(coord, key, self.quorum_size()).await?;
-        self.count(coord, "quorum_reads", 1);
+        let rec = self.link().recorder();
+        rec.count(Scope::Node(coord.0), "quorum_reads", 1);
         self.emit(coord, || EventKind::QuorumRead {
             key: key.to_string(),
             replies: snaps.len() as u32,
         });
         let (newest, diverged) = reconcile::<P>(&snaps);
         if diverged {
-            self.count(coord, "read_repairs", 1);
+            rec.count(Scope::Node(coord.0), "read_repairs", 1);
             self.emit(coord, || EventKind::ReadRepair {
                 key: key.to_string(),
             });
@@ -459,7 +449,8 @@ impl<P: Partition, L: ReplicaLink<P>> Table<P, L> {
         let need = self.quorum_size();
         for attempt in 0..self.inner.cfg.lwt_retries {
             if attempt > 0 {
-                self.count(coord, "lwt_retries", 1);
+                let rec = self.link().recorder();
+                rec.count(Scope::Node(coord.0), "lwt_retries", 1);
                 self.emit(coord, || EventKind::LwtRetry {
                     key: key.to_string(),
                     attempt,
@@ -541,7 +532,8 @@ impl<P: Partition, L: ReplicaLink<P>> Table<P, L> {
             });
             return Ok(LwtOutcome { applied, before });
         }
-        self.count(coord, "lwt_contention", 1);
+        let rec = self.link().recorder();
+        rec.count(Scope::Node(coord.0), "lwt_contention", 1);
         Err(StoreError::Contention)
     }
 

@@ -278,21 +278,15 @@ impl Drop for ResponseFuture {
     }
 }
 
-/// One peer's pooled connection and its breaker.
+/// One peer: its address, pooled connection and breaker.
 struct Peer {
+    addr: SocketAddr,
     conn: Option<Conn>,
     breaker: Breaker,
 }
 
-/// A peer not connected to yet, its breaker closed.
-const NEW_PEER: Peer = Peer {
-    conn: None,
-    breaker: Breaker::new(1, DOWN_FOR, Some(DOWN_FOR)),
-};
-
 struct TcpInner {
     rt: NativeRuntime,
-    addrs: HashMap<u32, SocketAddr>,
     peers: RefCell<HashMap<u32, Peer>>,
     next_corr: Cell<u64>,
 }
@@ -311,20 +305,22 @@ impl TcpTransport {
     /// Creates a transport over `rt` that reaches each node id at the given
     /// socket address.
     pub fn new(rt: NativeRuntime, addrs: HashMap<u32, SocketAddr>) -> Self {
-        let peers = addrs.keys().map(|&to| (to, NEW_PEER));
+        let peers = addrs.into_iter().map(|(to, addr)| {
+            // Not connected to yet, its breaker closed.
+            let peer = Peer {
+                addr,
+                conn: None,
+                breaker: Breaker::new(1, DOWN_FOR, Some(DOWN_FOR)),
+            };
+            (to, peer)
+        });
         TcpTransport {
             inner: Rc::new(TcpInner {
                 rt,
                 peers: RefCell::new(peers.collect()),
-                addrs,
                 next_corr: Cell::new(1),
             }),
         }
-    }
-
-    /// The addresses this transport routes to.
-    pub fn addrs(&self) -> &HashMap<u32, SocketAddr> {
-        &self.inner.addrs
     }
 
     /// Drops every pooled connection (used at shutdown; reader threads
@@ -348,12 +344,12 @@ impl TcpTransport {
         }
     }
 
-    /// Opens a connection to `to` if its breaker admits a request.
-    fn connect(&self, to: u32, breaker: &mut Breaker) -> Result<Conn, TransportError> {
+    /// Opens a connection to peer `to` if its breaker admits a request.
+    fn connect(&self, to: u32, peer: &mut Peer) -> Result<Conn, TransportError> {
+        let (addr, breaker) = (peer.addr, &mut peer.breaker);
         if breaker.admit(self.inner.rt.now()) == Admit::Refuse {
             return Err(TransportError::Closed);
         }
-        let addr = self.inner.addrs[&to];
         let (reader, stream) = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)
             .and_then(|reader| {
                 reader.set_nodelay(true).ok();
@@ -409,7 +405,7 @@ impl TcpTransport {
                     peer.breaker.on_success(now);
                     conn
                 }
-                None => self.connect(to, &mut peer.breaker)?,
+                None => self.connect(to, peer)?,
             };
             let pending = Arc::clone(&conn.pending);
             let fut = ResponseFuture { pending, corr };

@@ -420,14 +420,11 @@ impl Network {
         };
         // Service-queue depth, expressed as the backlog this message waited
         // behind (high-water mark per node).
-        let rec = self.inner.recorder.borrow();
-        if rec.is_on() {
-            rec.gauge_max(
-                Scope::Node(node.0),
-                "svc_backlog_us_max",
-                (start - earliest).as_micros(),
-            );
-        }
+        self.inner.recorder.borrow().gauge_max(
+            Scope::Node(node.0),
+            "svc_backlog_us_max",
+            (start - earliest).as_micros(),
+        );
         done
     }
 
@@ -505,8 +502,18 @@ impl Network {
         self.telemetry_deliver(from, to, bytes);
     }
 
+    /// Records `kind` at `node`, stamped with the virtual clock and the
+    /// running task's trace tag.
+    fn emit(&self, node: u32, kind: impl FnOnce() -> EventKind) {
+        let sim = &self.inner.sim;
+        let rec = self.inner.recorder.borrow();
+        rec.record(sim.now().as_micros(), sim.trace(), node, kind);
+    }
+
     fn telemetry_send(&self, from: NodeId, to: NodeId, bytes: usize) {
         let rec = self.inner.recorder.borrow();
+        // Skips the `site_of` lookup, the one cost here the recorder
+        // cannot skip itself.
         if !rec.is_on() {
             return;
         }
@@ -515,62 +522,34 @@ impl Network {
         rec.count(Scope::Site(self.site_of(from).0), "msgs_sent", 1);
         rec.count(Scope::Link(from.0, to.0), "msgs_sent", 1);
         rec.count(Scope::Link(from.0, to.0), "bytes_sent", bytes as u64);
-        if rec.is_tracing() {
-            rec.record(
-                self.inner.sim.now().as_micros(),
-                self.inner.sim.trace(),
-                from.0,
-                EventKind::MsgSend {
-                    from: from.0,
-                    to: to.0,
-                    bytes: bytes as u64,
-                },
-            );
-        }
+        let (from, to, bytes) = (from.0, to.0, bytes as u64);
+        self.emit(from, || EventKind::MsgSend { from, to, bytes });
     }
 
     fn telemetry_deliver(&self, from: NodeId, to: NodeId, bytes: usize) {
         let rec = self.inner.recorder.borrow();
+        // As in `telemetry_send`: skips the `site_of` lookup.
         if !rec.is_on() {
             return;
         }
         rec.count(Scope::Node(to.0), "msgs_delivered", 1);
         rec.count(Scope::Site(self.site_of(to).0), "msgs_delivered", 1);
         rec.count(Scope::Link(from.0, to.0), "msgs_delivered", 1);
-        if rec.is_tracing() {
-            rec.record(
-                self.inner.sim.now().as_micros(),
-                self.inner.sim.trace(),
-                to.0,
-                EventKind::MsgDeliver {
-                    from: from.0,
-                    to: to.0,
-                    bytes: bytes as u64,
-                },
-            );
-        }
+        let (from, to, bytes) = (from.0, to.0, bytes as u64);
+        self.emit(to, || EventKind::MsgDeliver { from, to, bytes });
     }
 
     fn telemetry_drop(&self, from: NodeId, to: NodeId, bytes: usize, reason: DropReason) {
         let rec = self.inner.recorder.borrow();
-        if !rec.is_on() {
-            return;
-        }
         rec.count(Scope::Node(from.0), "msgs_dropped", 1);
         rec.count(Scope::Link(from.0, to.0), "msgs_dropped", 1);
-        if rec.is_tracing() {
-            rec.record(
-                self.inner.sim.now().as_micros(),
-                self.inner.sim.trace(),
-                from.0,
-                EventKind::MsgDrop {
-                    from: from.0,
-                    to: to.0,
-                    bytes: bytes as u64,
-                    reason,
-                },
-            );
-        }
+        let (from, to, bytes) = (from.0, to.0, bytes as u64);
+        self.emit(from, || EventKind::MsgDrop {
+            from,
+            to,
+            bytes,
+            reason,
+        });
     }
 
     /// Round-trip helper: ship a request, run the (synchronous) server-side
@@ -622,22 +601,10 @@ impl Network {
             match crate::combinators::timeout(&self.inner.sim, retry_after, fut).await {
                 Ok(r) => return r,
                 Err(_) => {
+                    let (from, to) = (from.0, to.0);
                     let rec = self.inner.recorder.borrow();
-                    if rec.is_on() {
-                        rec.count(Scope::Node(from.0), "retransmits", 1);
-                        if rec.is_tracing() {
-                            rec.record(
-                                self.inner.sim.now().as_micros(),
-                                self.inner.sim.trace(),
-                                from.0,
-                                EventKind::Retransmit {
-                                    from: from.0,
-                                    to: to.0,
-                                    attempt,
-                                },
-                            );
-                        }
-                    }
+                    rec.count(Scope::Node(from), "retransmits", 1);
+                    self.emit(from, || EventKind::Retransmit { from, to, attempt });
                     continue;
                 }
             }

@@ -31,6 +31,15 @@
 //! in-memory log — so a seeded simulation produces the identical
 //! virtual-time schedule with telemetry on or off.
 //!
+//! **One recording rule.** Only the [`Recorder`] knows its mode.
+//! Instrumented layers call it unconditionally; each call keeps what the
+//! mode asks for and drops the rest. [`Recorder::record`] takes the event
+//! as a closure and builds it only when a log is captured or a checker is
+//! attached, so a recorder that is off or metrics-only never builds an
+//! event. A layer checks [`Recorder::is_on`] or [`Recorder::is_tracing`]
+//! only to skip work the recorder cannot skip for it, such as setting a
+//! task's trace or span tag.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -38,7 +47,7 @@
 //!
 //! let rec = Recorder::tracing();
 //! let trace = rec.next_trace();
-//! rec.record(10, trace, 0, EventKind::LockGrant { key: "k".into(), lock_ref: 1 });
+//! rec.record(10, trace, 0, || EventKind::LockGrant { key: "k".into(), lock_ref: 1 });
 //! rec.count(Scope::Node(0), "lock_grants", 1);
 //!
 //! assert_eq!(rec.events().len(), 1);

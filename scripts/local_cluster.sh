@@ -95,6 +95,12 @@ echo "local_cluster: driving $SECTIONS sections ($CLIENTS clients, $KEYS keys)..
 if "$BIN/music-load" --peers "$PEERS" --sections "$SECTIONS" \
     --clients "$CLIENTS" --keys "$KEYS" \
     --online-sample "$ONLINE_SAMPLE" 2>&1 | tee "$LOG_DIR/load.log"; then
+  # music-load exits 1 on a shortfall, an error, a counter mismatch or a
+  # checker violation; what its exit cannot show is that the checker ran.
+  if [[ "$ONLINE_SAMPLE" != "0" ]] && ! grep -q '^music-load: online: OK' "$LOG_DIR/load.log"; then
+    echo "local_cluster: FAILED: no 'music-load: online: OK' line (the checker did not run)" >&2
+    exit 1
+  fi
   # Extract the machine-readable throughput line into the BENCH
   # trajectory artifact (sections/sec over real TCP sockets).
   grep '"kind":"benchLoad"' "$LOG_DIR/load.log" >"$LOG_DIR/BENCH_load.json" || true

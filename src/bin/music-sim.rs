@@ -494,39 +494,6 @@ fn cmd_verify() {
     println!("  invariants: critical-section, synchFlag, latest-state, queue sanity, lease-floor");
 }
 
-/// `music-sim compare <baseline.json> <fresh.json> [--tolerance PCT]`:
-/// the standalone BENCH regression gate. Compares every numeric leaf the
-/// baseline names against the fresh artifact (extra fresh keys are fine —
-/// additive evolution) and exits non-zero past the tolerance. CI uses it
-/// to gate the socket-cluster `BENCH_load.json` against its committed
-/// baseline, which deliberately omits wall-clock fields (`elapsedSecs`,
-/// `sectionsPerSec` vary by runner) so the gate pins the structural
-/// outcome: every section completed, zero errors, checker sampling on.
-fn cmd_compare(base_path: &str, fresh_path: &str, tolerance_pct: f64) {
-    use music_bench::profile::compare_benches;
-    let baseline = std::fs::read_to_string(base_path).expect("read baseline");
-    let fresh = std::fs::read_to_string(fresh_path).expect("read fresh artifact");
-    match compare_benches(&baseline, &fresh, tolerance_pct / 100.0) {
-        Ok(violations) if violations.is_empty() => {
-            println!("regression gate: {fresh_path} OK against {base_path} (±{tolerance_pct}%)");
-        }
-        Ok(violations) => {
-            eprintln!(
-                "regression gate: {} violation(s) against {base_path}:",
-                violations.len()
-            );
-            for v in &violations {
-                eprintln!("  {v}");
-            }
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("regression gate: cannot compare: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let cmd = args.get(1).map(String::as_str).unwrap_or("help");
@@ -658,15 +625,6 @@ fn main() {
             );
         }
         "verify" => cmd_verify(),
-        "compare" => {
-            let (Some(base_path), Some(fresh_path)) = (free.first(), free.get(1)) else {
-                eprintln!(
-                    "usage: music-sim compare <baseline.json> <fresh.json> [--tolerance PCT]"
-                );
-                std::process::exit(2);
-            };
-            cmd_compare(base_path, fresh_path, tolerance_pct);
-        }
         "profiles" => cmd_profiles(),
         _ => {
             println!("music-sim — MUSIC (ICDCS 2020) reproduction driver");
@@ -682,8 +640,6 @@ fn main() {
             println!("              [--seed N] [--mode sync|pipelined|leased|all] [--name NAME]");
             println!("              [--out FILE] [--compare BASELINE] [--tolerance PCT]");
             println!("              [--mutant-slow-us U]");
-            println!("  compare     BENCH regression gate on two artifacts");
-            println!("              compare <baseline.json> <fresh.json> [--tolerance PCT]");
             println!("  nemesis     randomized fault schedules -> per-schedule checker verdicts");
             println!("              (ECF + lock-queue refinement)");
             println!("              [profile|all] [--seed N] [--schedules K]");

@@ -4,7 +4,7 @@
 //! and two traced runs of the same seed must serialize byte-for-byte
 //! identically.
 
-use music_repro::telemetry::{to_json_lines, Recorder};
+use music_repro::telemetry::{to_json_lines, OnlineConfig, Recorder};
 use music_repro::trace::run_chaos;
 use music_simnet::prelude::*;
 
@@ -14,6 +14,12 @@ fn tracing_does_not_perturb_the_schedule() {
     let off = run_chaos(LatencyProfile::one_us(), seed, Recorder::off());
     let counting = run_chaos(LatencyProfile::one_us(), seed, Recorder::metrics_only());
     let tracing = run_chaos(LatencyProfile::one_us(), seed, Recorder::tracing());
+    // The mode `music-load` runs: every event built and checked, none kept.
+    let online = run_chaos(
+        LatencyProfile::one_us(),
+        seed,
+        Recorder::online(OnlineConfig::unbounded()),
+    );
 
     assert_eq!(off.final_time_us, tracing.final_time_us);
     assert_eq!(off.final_time_us, counting.final_time_us);
@@ -29,6 +35,15 @@ fn tracing_does_not_perturb_the_schedule() {
     assert!(!tracing.events.is_empty());
     // Tracing and counting agree on every counter.
     assert_eq!(counting.metrics.to_json(), tracing.metrics.to_json());
+
+    // Checking online moves nothing either, stores no event, counts what
+    // tracing counts and reaches the tracing run's verdict.
+    assert_eq!(off.final_time_us, online.final_time_us);
+    assert_eq!(off.outcomes, online.outcomes);
+    assert!(online.events.is_empty());
+    assert_eq!(online.metrics.to_json(), tracing.metrics.to_json());
+    assert!(online.report.ok(), "{}", online.report);
+    assert_eq!(online.report, tracing.report);
 }
 
 #[test]
