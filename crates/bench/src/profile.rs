@@ -10,11 +10,13 @@
 //!
 //! Everything in the artifact is derived from **virtual time**, so two
 //! replays of the same seed emit byte-identical files — which is what
-//! makes the artifact a committable baseline. [`compare_benches`] is the
-//! CI regression gate over two such files: it flattens every numeric leaf
-//! and fails on relative deviation beyond a tolerance.
+//! makes the artifact a committable baseline. The gate is byte equality:
+//! `tests/profile_bench.rs` renders the default workload over
+//! [`ModeKey::ALL`] and requires it to equal `BENCH_baseline.json`, so a
+//! change that moves the schedule regenerates the file
+//! (`music-sim profile --seed 7 --mode all`) and its diff is the change's
+//! cost, per mode.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use bytes::Bytes;
@@ -88,10 +90,6 @@ pub struct ProfileOptions {
     pub puts_per_section: usize,
     /// Value payload bytes.
     pub value_size: usize,
-    /// Mutant knob: extra per-message service latency, µs. Zero for real
-    /// runs; the CI gate's deliberately-slowed run sets this and must be
-    /// caught by [`compare_benches`].
-    pub handicap_us: u64,
 }
 
 impl Default for ProfileOptions {
@@ -102,7 +100,6 @@ impl Default for ProfileOptions {
             sections_per_client: 3,
             puts_per_section: 4,
             value_size: 16,
-            handicap_us: 0,
         }
     }
 }
@@ -225,13 +222,11 @@ const BENCH_COUNTERS: [&str; 10] = [
 pub fn run_mode_profile(key: ModeKey, opts: &ProfileOptions) -> ModeProfile {
     let profile = LatencyProfile::one_us();
     let sites = profile.site_count();
-    let mut net = bench_net_config();
-    net.service_fixed += SimDuration::from_micros(opts.handicap_us);
     let recorder = Recorder::tracing();
     recorder.attach_online(OnlineConfig::unbounded());
     let sys = MusicSystemBuilder::new()
         .profile(profile)
-        .net_config(net)
+        .net_config(bench_net_config())
         .music_config(bench_music_config(key.mode()))
         .store_nodes_per_site(1)
         .replicas_per_site(1)
@@ -339,7 +334,7 @@ pub fn run_mode_profile(key: ModeKey, opts: &ProfileOptions) -> ModeProfile {
         executor: sim.profile(),
         counters: BENCH_COUNTERS
             .iter()
-            .map(|&name| (name, total_by_name(&snapshot, name)))
+            .map(|&name| (name, snapshot.total(name)))
             .collect(),
         phases,
         sites: site_rows,
@@ -347,17 +342,6 @@ pub fn run_mode_profile(key: ModeKey, opts: &ProfileOptions) -> ModeProfile {
         spans,
         report,
     }
-}
-
-/// `MetricsSnapshot::total` takes a `&'static str`; this walks rows by
-/// value instead so the counter list above can stay one table.
-fn total_by_name(snapshot: &music_telemetry::MetricsSnapshot, name: &str) -> u64 {
-    snapshot
-        .entries
-        .iter()
-        .filter(|e| e.name == name)
-        .map(|e| e.value)
-        .sum()
 }
 
 /// Per-virtual-second rate, rendered with fixed precision so the JSON is
@@ -373,7 +357,7 @@ fn rate(count: u64, virtual_us: u64) -> String {
 ///
 /// Every figure is virtual-time-derived, so the output is byte-identical
 /// across replays of the same seed — the property the committed baseline
-/// and [`compare_benches`] rely on.
+/// relies on.
 pub fn bench_json(name: &str, opts: &ProfileOptions, modes: &[ModeProfile]) -> String {
     let profile = LatencyProfile::one_us();
     let mut out = String::with_capacity(4096);
@@ -495,218 +479,6 @@ pub fn bench_json(name: &str, opts: &ProfileOptions, modes: &[ModeProfile]) -> S
     out
 }
 
-// ---------------------------------------------------------------------------
-// The regression gate: flatten → compare.
-
-/// Flattens every numeric leaf of a JSON document into `path → value`
-/// (object keys joined with `.`, array elements indexed). A minimal
-/// hand-rolled parser — the repo deliberately carries no JSON dependency.
-pub fn flatten_numbers(src: &str) -> Result<BTreeMap<String, f64>, String> {
-    let mut p = Parser {
-        bytes: src.as_bytes(),
-        pos: 0,
-    };
-    let mut out = BTreeMap::new();
-    p.skip_ws();
-    p.value("", &mut out)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(out)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(c @ (b'"' | b'\\' | b'/')) => s.push(c as char),
-                        Some(b'n') => s.push('\n'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b'u') => {
-                            // \uXXXX — keep the raw escape; paths never
-                            // need the decoded code point to stay unique.
-                            s.push_str("\\u");
-                            for _ in 0..4 {
-                                self.pos += 1;
-                                if let Some(h) = self.peek() {
-                                    s.push(h as char);
-                                }
-                            }
-                        }
-                        other => return Err(format!("bad escape {other:?} at {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    let start = self.pos;
-                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
-                        self.pos += 1;
-                    }
-                    s.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|e| e.to_string())?,
-                    );
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn value(&mut self, path: &str, out: &mut BTreeMap<String, f64>) -> Result<(), String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => {
-                self.pos += 1;
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let sub = if path.is_empty() {
-                        key
-                    } else {
-                        format!("{path}.{key}")
-                    };
-                    self.value(&sub, out)?;
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(());
-                        }
-                        other => return Err(format!("bad object at {}: {other:?}", self.pos)),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                let mut i = 0usize;
-                loop {
-                    self.value(&format!("{path}[{i}]"), out)?;
-                    i += 1;
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(());
-                        }
-                        other => return Err(format!("bad array at {}: {other:?}", self.pos)),
-                    }
-                }
-            }
-            Some(b'"') => {
-                self.string()?;
-                Ok(())
-            }
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => {
-                let start = self.pos;
-                while self.peek().is_some_and(|b| {
-                    b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
-                }) {
-                    self.pos += 1;
-                }
-                let text =
-                    std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-                let v: f64 = text
-                    .parse()
-                    .map_err(|e| format!("bad number {text:?}: {e}"))?;
-                out.insert(path.to_string(), v);
-                Ok(())
-            }
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-}
-
-/// The CI regression gate: compares two BENCH artifacts and returns one
-/// violation line per numeric leaf that is missing from `fresh` or
-/// deviates from `baseline` by more than `tolerance` (a fraction:
-/// `0.10` = ±10 % relative). Improvements fail too — they mean the
-/// committed baseline is stale and should be regenerated.
-pub fn compare_benches(baseline: &str, fresh: &str, tolerance: f64) -> Result<Vec<String>, String> {
-    let base = flatten_numbers(baseline).map_err(|e| format!("baseline: {e}"))?;
-    let new = flatten_numbers(fresh).map_err(|e| format!("fresh: {e}"))?;
-    let mut violations = Vec::new();
-    for (key, b) in &base {
-        match new.get(key) {
-            None => violations.push(format!("{key}: missing from fresh run (baseline {b})")),
-            Some(f) => {
-                let scale = b.abs().max(f.abs());
-                if (b - f).abs() > tolerance * scale {
-                    violations.push(format!(
-                        "{key}: baseline {b} vs fresh {f} (> {:.1}% deviation)",
-                        tolerance * 100.0
-                    ));
-                }
-            }
-        }
-    }
-    Ok(violations)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -719,40 +491,5 @@ mod tests {
         assert_eq!(st.p95_us, 100);
         assert_eq!(st.max_us, 100);
         assert_eq!(PhaseStats::from_samples(vec![]).count, 0);
-    }
-
-    #[test]
-    fn flatten_walks_nested_objects_and_arrays() {
-        let flat = flatten_numbers(
-            "{\"a\": 1, \"b\": {\"c\": 2.5, \"d\": [3, {\"e\": -4}]}, \
-             \"s\": \"text\", \"t\": true, \"n\": null}",
-        )
-        .unwrap();
-        assert_eq!(flat["a"], 1.0);
-        assert_eq!(flat["b.c"], 2.5);
-        assert_eq!(flat["b.d[0]"], 3.0);
-        assert_eq!(flat["b.d[1].e"], -4.0);
-        assert_eq!(flat.len(), 4, "strings/bools/nulls are not leaves");
-        assert!(flatten_numbers("{\"a\": }").is_err());
-    }
-
-    #[test]
-    fn gate_accepts_within_tolerance_and_rejects_beyond() {
-        let base = "{\"x\": 100, \"y\": 50}";
-        assert!(compare_benches(base, "{\"x\": 105, \"y\": 50}", 0.10)
-            .unwrap()
-            .is_empty());
-        let v = compare_benches(base, "{\"x\": 120, \"y\": 50}", 0.10).unwrap();
-        assert_eq!(v.len(), 1);
-        assert!(v[0].starts_with("x:"));
-        // A key vanishing from the fresh run is always a violation.
-        let v = compare_benches(base, "{\"x\": 100}", 0.10).unwrap();
-        assert!(v[0].contains("missing"));
-        // Extra keys in the fresh run are fine (additive evolution).
-        assert!(
-            compare_benches(base, "{\"x\": 100, \"y\": 50, \"z\": 1}", 0.10)
-                .unwrap()
-                .is_empty()
-        );
     }
 }

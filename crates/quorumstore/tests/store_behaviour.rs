@@ -22,7 +22,7 @@ use music_quorumstore::{
 };
 use music_runtime::SimTransport;
 use music_simnet::prelude::*;
-use music_telemetry::{EventKind, LwtPhase, Recorder};
+use music_telemetry::{EventKind, LwtPhase, Recorder, Scope};
 
 /// Network-free view of a key at the replica with the given index.
 type Peek = Rc<dyn Fn(usize, &str) -> RowSnapshot>;
@@ -619,7 +619,8 @@ fn anti_entropy_tolerates_a_down_replica<L: ReplicaLink<DataRow>>(
 /// every live partition, kept or not: the byte model the schedule rests on.
 #[test]
 fn sim_link_scan_is_charged_for_every_live_row() {
-    let f = sim_fixture(quiet(), Recorder::off());
+    let rec = Recorder::metrics_only();
+    let f = sim_fixture(quiet(), rec.clone());
     let (table, client) = (f.table.clone(), f.clients[0]);
     f.sim.block_on(async move {
         for (i, key) in ["a", "b", "c", "d"].into_iter().enumerate() {
@@ -633,11 +634,12 @@ fn sim_link_scan_is_charged_for_every_live_row() {
     f.sim.run();
     let live = 4;
     // The client's nearest replica is the store node at its own site.
-    let (replica, net) = (f.store_nodes[0], f.net.clone());
+    let replica = f.store_nodes[0];
     let bytes = move || {
+        let snap = rec.metrics();
         (
-            net.link_stats(client, replica).bytes,
-            net.link_stats(replica, client).bytes,
+            snap.get(Scope::Link(client.0, replica.0), "bytes_sent"),
+            snap.get(Scope::Link(replica.0, client.0), "bytes_sent"),
         )
     };
     type Keep = fn(&DataRow) -> Option<()>;

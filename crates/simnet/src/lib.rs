@@ -52,7 +52,7 @@ pub mod prelude {
     pub use crate::combinators::{join_all, never, quorum, timeout, yield_now, Elapsed};
     pub use crate::executor::{JoinHandle, Sim};
     pub use crate::metrics::{Histogram, Throughput};
-    pub use crate::net::{LinkStats, NetConfig, Network, NodeId};
+    pub use crate::net::{NetConfig, Network, NodeId};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{LatencyProfile, SiteId};
 }

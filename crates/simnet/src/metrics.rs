@@ -1,9 +1,8 @@
 //! Latency and throughput bookkeeping for experiments.
 //!
 //! [`Histogram`] records virtual-time latencies and answers the statistics
-//! the paper reports: mean, standard deviation, percentiles, and full CDFs
-//! (Fig. 8). [`Throughput`] converts an op count over a virtual interval
-//! into op/s.
+//! the paper reports: mean, percentiles, and full CDFs (Fig. 8).
+//! [`Throughput`] converts an op count over a virtual interval into op/s.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -45,12 +44,6 @@ impl Histogram {
         self.sorted = false;
     }
 
-    /// Merges another histogram's samples into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> usize {
         self.samples.len()
@@ -75,25 +68,6 @@ impl Histogram {
         }
         let sum: u128 = self.samples.iter().map(|&s| s as u128).sum();
         SimDuration::from_micros((sum / self.samples.len() as u128) as u64)
-    }
-
-    /// Population standard deviation in milliseconds. Zero when empty.
-    pub fn stddev_millis(&self) -> f64 {
-        let n = self.samples.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let mean = self.samples.iter().map(|&s| s as f64).sum::<f64>() / n as f64;
-        let var = self
-            .samples
-            .iter()
-            .map(|&s| {
-                let d = s as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / n as f64;
-        var.sqrt() / 1_000.0
     }
 
     /// The `p`-th percentile (`0.0 ..= 1.0`, nearest-rank).
@@ -292,28 +266,6 @@ mod tests {
         assert_eq!(h.percentile(0.99).as_millis(), 10);
         assert_eq!(h.percentile(0.0).as_millis(), 1);
         assert_eq!(h.percentile(1.0).as_millis(), 10);
-    }
-
-    #[test]
-    fn stddev_of_constant_is_zero() {
-        let h = hist(&[5, 5, 5, 5]);
-        assert_eq!(h.stddev_millis(), 0.0);
-    }
-
-    #[test]
-    fn stddev_known_value() {
-        // samples 2ms,4ms,4ms,4ms,5ms,5ms,7ms,9ms: population stddev = 2ms
-        let h = hist(&[2, 4, 4, 4, 5, 5, 7, 9]);
-        assert!((h.stddev_millis() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = hist(&[1, 2]);
-        let b = hist(&[3, 4]);
-        a.merge(&b);
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.max().as_millis(), 4);
     }
 
     #[test]

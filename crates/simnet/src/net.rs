@@ -97,19 +97,6 @@ struct NetStats {
     dropped: u64,
 }
 
-/// Per-directed-link traffic statistics (always collected; cheap counters).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct LinkStats {
-    /// Messages that entered the link.
-    pub sent: u64,
-    /// Messages fully serviced at the receiver.
-    pub delivered: u64,
-    /// Messages lost (loss, partition, or dead endpoint).
-    pub dropped: u64,
-    /// Payload bytes that entered the link.
-    pub bytes: u64,
-}
-
 struct Inner {
     sim: Sim,
     profile: LatencyProfile,
@@ -122,9 +109,6 @@ struct Inner {
     cut_links: RefCell<HashSet<(NodeId, NodeId)>>,
     rng: RefCell<SmallRng>,
     stats: RefCell<NetStats>,
-    /// Per-directed-link counters, `link_stats[from][to]`: a dense
-    /// `nodes × nodes` table that [`Network::add_node`] grows.
-    link_stats: RefCell<Vec<Vec<LinkStats>>>,
     recorder: RefCell<Recorder>,
 }
 
@@ -166,7 +150,6 @@ impl Network {
                 cut_links: RefCell::new(HashSet::new()),
                 rng: RefCell::new(SmallRng::seed_from_u64(seed)),
                 stats: RefCell::new(NetStats::default()),
-                link_stats: RefCell::new(Vec::new()),
                 recorder: RefCell::new(Recorder::off()),
             }),
         }
@@ -200,11 +183,6 @@ impl Network {
             busy_until: SimTime::ZERO,
             service_mult: 1.0,
         });
-        let mut links = self.inner.link_stats.borrow_mut();
-        for row in links.iter_mut() {
-            row.push(LinkStats::default());
-        }
-        links.push(vec![LinkStats::default(); nodes.len()]);
         NodeId(nodes.len() as u32 - 1)
     }
 
@@ -350,34 +328,6 @@ impl Network {
         (s.messages, s.bytes, s.dropped)
     }
 
-    /// Traffic statistics of one directed link (zeros if never used).
-    pub fn link_stats(&self, from: NodeId, to: NodeId) -> LinkStats {
-        self.inner
-            .link_stats
-            .borrow()
-            .get(from.0 as usize)
-            .and_then(|row| row.get(to.0 as usize))
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// Statistics of every directed link that carried traffic, sorted by
-    /// `(from, to)` — a deterministic snapshot.
-    pub fn all_link_stats(&self) -> Vec<((NodeId, NodeId), LinkStats)> {
-        let links = self.inner.link_stats.borrow();
-        let mut out = Vec::new();
-        for (from, row) in links.iter().enumerate() {
-            for (to, stats) in row.iter().enumerate() {
-                // Every message bumps `sent` first: a link with none never
-                // carried traffic.
-                if stats.sent > 0 {
-                    out.push(((NodeId(from as u32), NodeId(to as u32)), *stats));
-                }
-            }
-        }
-        out
-    }
-
     /// Installs a telemetry recorder; all subsequent traffic emits events
     /// and counters into it. The default recorder is off.
     pub fn set_recorder(&self, recorder: Recorder) {
@@ -387,12 +337,6 @@ impl Network {
     /// The currently installed telemetry recorder (clone of the handle).
     pub fn recorder(&self) -> Recorder {
         self.inner.recorder.borrow().clone()
-    }
-
-    fn link(&self, from: NodeId, to: NodeId) -> std::cell::RefMut<'_, LinkStats> {
-        std::cell::RefMut::map(self.inner.link_stats.borrow_mut(), |links| {
-            &mut links[from.0 as usize][to.0 as usize]
-        })
     }
 
     fn service_time(&self, bytes: usize) -> SimDuration {
@@ -440,11 +384,6 @@ impl Network {
             stats.messages += 1;
             stats.bytes += bytes as u64;
         }
-        {
-            let mut link = self.link(from, to);
-            link.sent += 1;
-            link.bytes += bytes as u64;
-        }
         self.telemetry_send(from, to, bytes);
         let lost = {
             let loss = self.inner.loss.get();
@@ -464,7 +403,6 @@ impl Network {
         };
         if let Some(reason) = lost {
             self.inner.stats.borrow_mut().dropped += 1;
-            self.link(from, to).dropped += 1;
             self.telemetry_drop(from, to, bytes, reason);
             return never().await;
         }
@@ -494,11 +432,9 @@ impl Network {
         // processes it.
         if !self.is_up(to) {
             self.inner.stats.borrow_mut().dropped += 1;
-            self.link(from, to).dropped += 1;
             self.telemetry_drop(from, to, bytes, DropReason::ReceiverCrashed);
             return never().await;
         }
-        self.link(from, to).delivered += 1;
         self.telemetry_deliver(from, to, bytes);
     }
 
@@ -821,10 +757,29 @@ mod tests {
         }
     }
 
+    /// The recorder's counters of one directed link: `(msgs_sent,
+    /// msgs_delivered, msgs_dropped, bytes_sent)`.
+    fn link_counters(
+        snap: &music_telemetry::MetricsSnapshot,
+        from: NodeId,
+        to: NodeId,
+    ) -> (u64, u64, u64, u64) {
+        let get = |name| snap.get(Scope::Link(from.0, to.0), name);
+        let sent = get("msgs_sent");
+        (
+            sent,
+            get("msgs_delivered"),
+            get("msgs_dropped"),
+            get("bytes_sent"),
+        )
+    }
+
     #[test]
-    fn link_stats_track_sent_delivered_bytes() {
+    fn link_counters_track_sent_delivered_bytes() {
         let (sim, net, n) = three_site_net(quiet_cfg());
         let (a, b) = (n[0], n[1]);
+        let rec = Recorder::metrics_only();
+        net.set_recorder(rec.clone());
         sim.block_on({
             let net = net.clone();
             async move {
@@ -833,24 +788,32 @@ mod tests {
                 net.transmit(b, a, 10).await;
             }
         });
-        let ab = net.link_stats(a, b);
-        assert_eq!(ab.sent, 2);
-        assert_eq!(ab.delivered, 2);
-        assert_eq!(ab.dropped, 0);
-        assert_eq!(ab.bytes, 150);
-        let ba = net.link_stats(b, a);
-        assert_eq!((ba.sent, ba.delivered, ba.bytes), (1, 1, 10));
+        let snap = rec.metrics();
+        let (sent, delivered, dropped, bytes) = link_counters(&snap, a, b);
+        assert_eq!(sent, 2);
+        assert_eq!(delivered, 2);
+        assert_eq!(dropped, 0);
+        assert_eq!(bytes, 150);
+        let (sent, delivered, _, bytes) = link_counters(&snap, b, a);
+        assert_eq!((sent, delivered, bytes), (1, 1, 10));
         // Unused links report zeros; the snapshot lists only used links.
-        assert_eq!(net.link_stats(a, n[2]), LinkStats::default());
-        let all = net.all_link_stats();
-        assert_eq!(all.len(), 2);
-        assert!(all[0].0 < all[1].0, "snapshot sorted by (from, to)");
+        assert_eq!(link_counters(&snap, a, n[2]), (0, 0, 0, 0));
+        let links: Vec<Scope> = snap
+            .entries
+            .iter()
+            .filter(|e| e.name == "msgs_sent" && matches!(e.scope, Scope::Link(..)))
+            .map(|e| e.scope)
+            .collect();
+        assert_eq!(links.len(), 2);
+        assert!(links[0] < links[1], "snapshot sorted by (from, to)");
     }
 
     #[test]
-    fn link_stats_count_drops_per_link() {
+    fn link_counters_count_drops_per_link() {
         let (sim, net, n) = three_site_net(quiet_cfg());
         let (a, b, c) = (n[0], n[1], n[2]);
+        let rec = Recorder::metrics_only();
+        net.set_recorder(rec.clone());
         net.set_link(a, b, false);
         sim.block_on({
             let net = net.clone();
@@ -860,10 +823,11 @@ mod tests {
                 let _ = timeout(&sim, SimDuration::from_secs(1), net.transmit(a, c, 5)).await;
             }
         });
-        let ab = net.link_stats(a, b);
-        assert_eq!((ab.sent, ab.delivered, ab.dropped), (1, 0, 1));
-        let ac = net.link_stats(a, c);
-        assert_eq!((ac.sent, ac.delivered, ac.dropped), (1, 1, 0));
+        let snap = rec.metrics();
+        let (sent, delivered, dropped, _) = link_counters(&snap, a, b);
+        assert_eq!((sent, delivered, dropped), (1, 0, 1));
+        let (sent, delivered, dropped, _) = link_counters(&snap, a, c);
+        assert_eq!((sent, delivered, dropped), (1, 1, 0));
         // The aggregate counters agree with the per-link breakdown.
         let (messages, _, dropped) = net.stats();
         assert_eq!(messages, 2);

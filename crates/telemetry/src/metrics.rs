@@ -169,68 +169,9 @@ impl MetricsSnapshot {
             .find(|h| h.scope == scope && h.name == name)
     }
 
-    /// Every sample of histogram `name` across all scopes, in `(scope,
-    /// observation)` order.
-    pub fn histogram_samples(&self, name: &'static str) -> Vec<u64> {
-        self.hists
-            .iter()
-            .filter(|h| h.name == name)
-            .flat_map(|h| h.samples.iter().copied())
-            .collect()
-    }
-
     /// Whether the snapshot holds no rows.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty() && self.hists.is_empty()
-    }
-
-    /// Folds `other` into `self`, so sharded runs (the seed-matrix /
-    /// nemesis CI shards) can aggregate per-site latency histograms and
-    /// counters into one snapshot.
-    ///
-    /// Counters sum; gauge rows — recognized by a `_peak` / `_max`
-    /// name suffix (the registry's `set_max` convention) — take the max;
-    /// histogram rows concatenate samples (`self`'s first). Rows stay
-    /// sorted by `(scope, name)`, so merging commutes with `to_json` up
-    /// to sample order within a histogram.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        let mut values: BTreeMap<(Scope, &'static str), u64> = self
-            .entries
-            .iter()
-            .map(|e| ((e.scope, e.name), e.value))
-            .collect();
-        for e in &other.entries {
-            let slot = values.entry((e.scope, e.name)).or_insert(0);
-            if e.name.ends_with("_peak") || e.name.ends_with("_max") {
-                *slot = (*slot).max(e.value);
-            } else {
-                *slot += e.value;
-            }
-        }
-        self.entries = values
-            .into_iter()
-            .map(|((scope, name), value)| MetricEntry { scope, name, value })
-            .collect();
-
-        let mut hists: BTreeMap<(Scope, &'static str), Vec<u64>> = self
-            .hists
-            .drain(..)
-            .map(|h| ((h.scope, h.name), h.samples))
-            .collect();
-        for h in &other.hists {
-            hists
-                .entry((h.scope, h.name))
-                .or_default()
-                .extend_from_slice(&h.samples);
-        }
-        self.hists = hists
-            .into_iter()
-            .map(|((scope, name), samples)| HistEntry {
-                scope,
-                name,
-                samples,
-            })
-            .collect();
     }
 
     /// One JSON object on a single line:
@@ -314,7 +255,12 @@ mod tests {
         let h = snap.histogram(Scope::Node(2), "recovery_us").unwrap();
         assert_eq!(h.samples, vec![30, 10], "observation order preserved");
         assert_eq!((h.count(), h.sum(), h.min(), h.max()), (2, 40, 10, 30));
-        assert_eq!(snap.histogram_samples("recovery_us"), vec![7, 30, 10]);
+        assert_eq!(
+            snap.histogram(Scope::Node(1), "recovery_us")
+                .unwrap()
+                .samples,
+            vec![7]
+        );
         assert!(snap.histogram(Scope::Global, "recovery_us").is_none());
         assert_eq!(
             snap.to_json(),
@@ -322,39 +268,6 @@ mod tests {
              \"hists\":{\"node:1/recovery_us\":{\"count\":1,\"sum\":7,\"min\":7,\"max\":7},\
              \"node:2/recovery_us\":{\"count\":2,\"sum\":40,\"min\":10,\"max\":30}}}"
         );
-    }
-
-    #[test]
-    fn merge_sums_counters_maxes_gauges_and_concats_hists() {
-        let mut a = MetricsRegistry::new();
-        a.add(Scope::Node(0), "ops", 5);
-        a.set_max(Scope::Global, "inflight_peak", 3);
-        a.observe(Scope::Site(1), "grant_wait_us", 10);
-        let mut b = MetricsRegistry::new();
-        b.add(Scope::Node(0), "ops", 7);
-        b.add(Scope::Node(1), "ops", 2);
-        b.set_max(Scope::Global, "inflight_peak", 9);
-        b.observe(Scope::Site(1), "grant_wait_us", 4);
-        b.observe(Scope::Site(2), "grant_wait_us", 8);
-
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged.get(Scope::Node(0), "ops"), 12);
-        assert_eq!(merged.get(Scope::Node(1), "ops"), 2);
-        assert_eq!(merged.get(Scope::Global, "inflight_peak"), 9, "gauge maxes");
-        assert_eq!(
-            merged
-                .histogram(Scope::Site(1), "grant_wait_us")
-                .unwrap()
-                .samples,
-            vec![10, 4]
-        );
-        assert_eq!(merged.histogram_samples("grant_wait_us"), vec![10, 4, 8]);
-        // Merged rows stay sorted, so the export is still deterministic.
-        let json = merged.to_json();
-        let mut again = MetricsSnapshot::default();
-        again.merge(&merged);
-        assert_eq!(again.to_json(), json);
     }
 
     #[test]

@@ -242,11 +242,6 @@ impl Recorder {
         }
     }
 
-    /// Number of spans opened so far.
-    pub fn span_count(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.spans.borrow().len())
-    }
-
     /// A copy of the event log so far, in sequence order.
     pub fn events(&self) -> Vec<Event> {
         match &self.inner {
@@ -375,7 +370,7 @@ mod tests {
     fn spans_capture_only_when_tracing() {
         let off = Recorder::metrics_only();
         assert_eq!(off.span_open(1, 0, 0, 0, 0, SpanPhase::Section, "k"), 0);
-        assert_eq!(off.span_count(), 0);
+        assert_eq!(off.spans().len(), 0);
 
         let r = Recorder::tracing();
         let root = r.span_open(10, 0, 1, 2, 0, SpanPhase::Section, "k");
