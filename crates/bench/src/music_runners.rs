@@ -6,9 +6,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 
-use music::{
-    AcquireOutcome, MusicReplica, MusicSystem, OpKind, OpStats, PendingPut, PutIssued, PutReq,
-};
+use music::{AcquireOutcome, MusicReplica, OpKind, OpStats, PendingPut, PutIssued, PutReq};
 use music_quorumstore::Put;
 use music_simnet::metrics::Histogram;
 use music_simnet::time::{SimDuration, SimTime};
@@ -410,17 +408,6 @@ pub fn cassa_ev_latency(
     sys.stats().reset();
     sim.run_until_complete(handle);
     sys.stats().histogram(OpKind::EventualPut)
-}
-
-/// Convenience: a system + replica pair for ad-hoc measurement code.
-pub fn single_replica(
-    profile: LatencyProfile,
-    mode: Mode,
-    seed: u64,
-) -> (MusicSystem, MusicReplica) {
-    let sys = music_system(profile, mode, 1, seed);
-    let replica = sys.replica(0).clone();
-    (sys, replica)
 }
 
 #[cfg(test)]

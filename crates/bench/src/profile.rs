@@ -12,7 +12,7 @@
 //! replays of the same seed emit byte-identical files — which is what
 //! makes the artifact a committable baseline. The gate is byte equality:
 //! `tests/profile_bench.rs` renders the default workload over
-//! [`ModeKey::ALL`] and requires it to equal `BENCH_baseline.json`, so a
+//! [`RunMode::ALL`] and requires it to equal `BENCH_baseline.json`, so a
 //! change that moves the schedule regenerates the file
 //! (`music-sim profile --seed 7 --mode all`) and its diff is the change's
 //! cost, per mode.
@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 
 use bytes::Bytes;
 
-use music::{MusicSystemBuilder, OpKind};
+use music::{MusicSystemBuilder, OpKind, RunMode};
 use music_simnet::executor::ExecutorProfile;
 use music_simnet::time::SimDuration;
 use music_simnet::topology::LatencyProfile;
@@ -31,47 +31,13 @@ use music_workload::sweep::payload;
 
 use crate::setup::{bench_music_config, bench_net_config, Mode};
 
-/// Which write-mode series a profile run exercises.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum ModeKey {
-    /// Synchronous quorum criticalPuts (`Mode::Music`).
-    Sync,
-    /// Pipelined criticalPuts, window 8 (`Mode::MusicPipelined`).
-    Pipelined,
-    /// Lease-cached re-entry, 60 s window (`Mode::MusicLeased`).
-    Leased,
-}
-
-impl ModeKey {
-    /// All three series, canonical order.
-    pub const ALL: [ModeKey; 3] = [ModeKey::Sync, ModeKey::Pipelined, ModeKey::Leased];
-
-    /// The stable key this series uses in `BENCH_*.json`.
-    pub fn name(self) -> &'static str {
-        match self {
-            ModeKey::Sync => "sync",
-            ModeKey::Pipelined => "pipelined",
-            ModeKey::Leased => "leased",
-        }
-    }
-
-    /// Parses a `--mode` operand (`all` is handled by the caller).
-    pub fn parse(s: &str) -> Option<ModeKey> {
-        match s {
-            "sync" => Some(ModeKey::Sync),
-            "pipelined" => Some(ModeKey::Pipelined),
-            "leased" => Some(ModeKey::Leased),
-            _ => None,
-        }
-    }
-
-    /// The benchmark [`Mode`] this series runs under.
-    pub fn mode(self) -> Mode {
-        match self {
-            ModeKey::Sync => Mode::Music,
-            ModeKey::Pipelined => Mode::MusicPipelined(8),
-            ModeKey::Leased => Mode::MusicLeased(60_000_000),
-        }
+/// The benchmark [`Mode`] a [`RunMode`] series runs under: pipelined puts
+/// with window 8, leases with a 60 s window.
+pub fn bench_mode(mode: RunMode) -> Mode {
+    match mode {
+        RunMode::Sync => Mode::Music,
+        RunMode::Pipelined => Mode::MusicPipelined(8),
+        RunMode::Leased => Mode::MusicLeased(60_000_000),
     }
 }
 
@@ -172,7 +138,7 @@ pub struct SiteGrantStats {
 #[derive(Clone, Debug)]
 pub struct ModeProfile {
     /// Which series.
-    pub key: ModeKey,
+    pub mode: RunMode,
     /// Final virtual time (µs) — the denominator of every rate.
     pub virtual_us: u64,
     /// Critical sections completed.
@@ -219,7 +185,7 @@ const BENCH_COUNTERS: [&str; 10] = [
 /// one shared `hot` key — that cross-site queue is what exposes per-site
 /// grant-latency fairness — and the rest working private keys. Every
 /// section does `puts_per_section` criticalPuts and one criticalGet.
-pub fn run_mode_profile(key: ModeKey, opts: &ProfileOptions) -> ModeProfile {
+pub fn run_mode_profile(mode: RunMode, opts: &ProfileOptions) -> ModeProfile {
     let profile = LatencyProfile::one_us();
     let sites = profile.site_count();
     let recorder = Recorder::tracing();
@@ -227,7 +193,7 @@ pub fn run_mode_profile(key: ModeKey, opts: &ProfileOptions) -> ModeProfile {
     let sys = MusicSystemBuilder::new()
         .profile(profile)
         .net_config(bench_net_config())
-        .music_config(bench_music_config(key.mode()))
+        .music_config(bench_music_config(bench_mode(mode)))
         .store_nodes_per_site(1)
         .replicas_per_site(1)
         .replication_factor(3)
@@ -250,7 +216,7 @@ pub fn run_mode_profile(key: ModeKey, opts: &ProfileOptions) -> ModeProfile {
         let value = value.clone();
         let sections = opts.sections_per_client;
         let puts = opts.puts_per_section;
-        let leased = key == ModeKey::Leased;
+        let leased = mode == RunMode::Leased;
         let stagger = SimDuration::from_micros((t as u64 * 7919) % 50_000);
         handles.push(sim.spawn(async move {
             sim2.sleep(stagger).await;
@@ -327,7 +293,7 @@ pub fn run_mode_profile(key: ModeKey, opts: &ProfileOptions) -> ModeProfile {
         .map(|&k| stats.count(k) as u64)
         .sum();
     ModeProfile {
-        key,
+        mode,
         virtual_us: sim.now().as_micros(),
         sections: stats.count(OpKind::CriticalSection) as u64,
         protocol_ops,
@@ -391,7 +357,7 @@ pub fn bench_json(name: &str, opts: &ProfileOptions, modes: &[ModeProfile]) -> S
     );
     out.push_str("  \"modes\": {\n");
     for (i, m) in modes.iter().enumerate() {
-        let _ = writeln!(out, "    \"{}\": {{", m.key.name());
+        let _ = writeln!(out, "    \"{}\": {{", m.mode.name());
         let _ = writeln!(out, "      \"virtual_us\": {},", m.virtual_us);
         let _ = writeln!(out, "      \"sections\": {},", m.sections);
         let _ = writeln!(

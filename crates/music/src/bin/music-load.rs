@@ -8,19 +8,10 @@
 //! counter values must sum to exactly the number of sections completed:
 //! any lost update, phantom grant, or stale read shows up as a mismatch.
 //!
-//! `--zipf-theta F` skews key selection Zipfian (θ=1.2 is the paper's
-//! hotspot setting); `--flash-crowd` converges every client on key 0 for
-//! the middle half of its quota and enables the contention-adaptive
-//! controller, so the crowd is absorbed by enqueue combining and the
-//! admission guard instead of livelocking the enqueue LWTs.
-//!
-//! `--online-sample N` additionally streams every protocol event through
-//! the in-process online checker (ECF + lock-queue refinement) while the
-//! load runs, checking keys whose digest is divisible by `N` in O(live
-//! keys) memory — no event log is stored. `--retries K` retries the
-//! *idempotent-safe* steps (enter, get, release) up to `K` times per
-//! section; puts are never retried, because a timed-out put may have
-//! landed and redoing it in a fresh section would double-increment.
+//! The flags are [`music::node::LOAD_USAGE`]; each one's effect is the
+//! matching [`LoadConfig`] field's doc (key skew, flash crowd, online
+//! checking, retries of the idempotent-safe steps, peek mode). A command
+//! line it cannot read exits 2 with the usage.
 //!
 //! Exits 0 only if every requested section completed, zero protocol
 //! errors were observed, the final counters verify, and (when sampling)
@@ -32,7 +23,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use bytes::Bytes;
-use music::node::{remote_client, LoadConfig, RemoteMusicClient, CLIENT_ID_BASE};
+use music::node::{remote_client, LoadConfig, RemoteMusicClient, CLIENT_ID_BASE, LOAD_USAGE};
 use music::{MusicConfig, MusicError, PeekMode};
 use music_runtime::prelude::SimDuration;
 use music_runtime::NativeRuntime;
@@ -40,11 +31,6 @@ use music_telemetry::{OnlineConfig, Recorder};
 use music_workload::Zipfian;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-
-const USAGE: &str = "usage: music-load --peers \"1=host:port,...\" \
-[--sections N] [--clients N] [--keys N] [--rf N] \
-[--online-sample N] [--key-prefix P] [--retries K] [--peek local|quorum] \
-[--zipf-theta F] [--flash-crowd]";
 
 fn counter_key(prefix: &str, k: u64) -> String {
     format!("{prefix}-{k}")
@@ -129,7 +115,7 @@ fn main() {
         Ok(cfg) => cfg,
         Err(e) => {
             eprintln!("music-load: {e}");
-            eprintln!("{USAGE}");
+            eprintln!("{LOAD_USAGE}");
             std::process::exit(2);
         }
     };

@@ -8,27 +8,23 @@
 //! mirrors the paper's deployment, where MUSIC's logic lives in a library
 //! over Cassandra-style stores.
 //!
-//! ```text
-//! music-node --id 1 --peers "1=127.0.0.1:7101,2=127.0.0.1:7102,3=127.0.0.1:7103"
-//! music-node --config node1.toml
-//! ```
+//! `music-node --id 1 --peers "1=127.0.0.1:7101,2=127.0.0.1:7102,3=127.0.0.1:7103"`
+//! serves node 1. A command line it cannot read exits 2 with the usage,
+//! which lists the flags of [`music::node::NODE_USAGE`].
 //!
 //! Runs until killed; `scripts/local_cluster.sh` manages a 3-node cluster.
 
-use music::node::{serve_node_frame, NodeConfig};
+use music::node::{serve_node_frame, NodeConfig, NODE_USAGE};
 use music_lockstore::LockPartition;
 use music_quorumstore::{DataRow, TableReplica};
 use music_runtime::{NativeRuntime, TcpServer};
-
-const USAGE: &str = "usage: music-node [--config FILE] --id N \
---peers \"1=host:port,2=host:port,...\" [--listen host:port] [--rf N]";
 
 fn main() {
     let cfg = match NodeConfig::from_args(std::env::args().skip(1)) {
         Ok(cfg) => cfg,
         Err(e) => {
             eprintln!("music-node: {e}");
-            eprintln!("{USAGE}");
+            eprintln!("{NODE_USAGE}");
             std::process::exit(2);
         }
     };

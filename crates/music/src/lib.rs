@@ -52,6 +52,7 @@
 #![warn(missing_docs)]
 
 pub mod backoff;
+pub mod cli;
 pub mod client;
 pub mod config;
 pub mod contention;

@@ -46,7 +46,8 @@ use crate::replica::MusicReplica;
 use crate::system::{ClockDrift, MusicSystem, MusicSystemBuilder};
 use crate::watchdog::Watchdog;
 
-/// Which client-visible protocol variant a nemesis run exercises.
+/// Which client-visible protocol variant a run exercises: a nemesis run,
+/// or a `music_bench::profile` series.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum RunMode {
     /// Every `criticalPut` awaits its quorum ack (the paper's mode).
@@ -61,7 +62,8 @@ impl RunMode {
     /// All modes, in the order the CLI cycles through them.
     pub const ALL: [RunMode; 3] = [RunMode::Sync, RunMode::Pipelined, RunMode::Leased];
 
-    /// Stable lowercase name for telemetry and CLI output.
+    /// Stable lowercase name for telemetry, CLI output and the
+    /// `BENCH_*.json` mode keys.
     pub fn name(self) -> &'static str {
         match self {
             RunMode::Sync => "sync",
@@ -69,10 +71,14 @@ impl RunMode {
             RunMode::Leased => "leased",
         }
     }
+}
 
-    /// Parses a CLI mode name.
-    pub fn parse(s: &str) -> Option<RunMode> {
-        Self::ALL.into_iter().find(|m| m.name() == s)
+/// Parses a CLI mode name (`sync`, `pipelined` or `leased`).
+impl std::str::FromStr for RunMode {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<RunMode, ()> {
+        RunMode::ALL.into_iter().find(|m| m.name() == s).ok_or(())
     }
 }
 
@@ -847,8 +853,8 @@ mod tests {
     #[test]
     fn run_modes_parse_and_name_round_trip() {
         for m in RunMode::ALL {
-            assert_eq!(RunMode::parse(m.name()), Some(m));
+            assert_eq!(m.name().parse(), Ok(m));
         }
-        assert_eq!(RunMode::parse("bogus"), None);
+        assert_eq!("bogus".parse::<RunMode>(), Err(()));
     }
 }

@@ -22,10 +22,11 @@
 //! [`MusicReplica`]`<RT, D, L>` requires
 //! (`D::Rt = L::Rt = RT`).
 //!
-//! The rest of the module is the small amount of config plumbing the
-//! binaries share: a TOML-subset config-file parser (`key = value` lines),
-//! a `--peers "id=addr,id=addr"` list parser, and [`remote_replica`] /
-//! [`remote_client`] which assemble the full client stack over sockets.
+//! The rest of the module is the small amount of plumbing the binaries
+//! share: their usage lines ([`NODE_USAGE`], [`LOAD_USAGE`]), which declare
+//! the flags [`crate::cli::Args`] reads, a `--peers "id=addr,id=addr"` list parser, and
+//! [`remote_replica`] / [`remote_client`] which assemble the full client
+//! stack over sockets.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -37,6 +38,7 @@ use music_simnet::net::NodeId;
 use music_simnet::time::{SimDuration, SimTime};
 use music_telemetry::Recorder;
 
+use crate::cli::Args;
 use crate::config::MusicConfig;
 use crate::error::MusicError;
 use crate::replica::MusicReplica;
@@ -295,45 +297,11 @@ pub fn parse_peers(s: &str) -> Result<Vec<(u32, SocketAddr)>, String> {
     Ok(peers)
 }
 
-/// Parses the TOML subset the binaries accept for `--config` files:
-/// `key = value` lines, `#` comments, optional double quotes around
-/// values. No sections, arrays, or escapes — the config surface is four
-/// scalar keys.
-///
-/// # Errors
-///
-/// Returns a message naming the first malformed line.
-pub fn parse_config_text(text: &str) -> Result<Vec<(String, String)>, String> {
-    let mut out = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (key, value) = line
-            .split_once('=')
-            .ok_or_else(|| format!("config line {}: expected `key = value`", idx + 1))?;
-        let key = key.trim().to_string();
-        let value = value.trim();
-        let value = if let Some(rest) = value.strip_prefix('"') {
-            let end = rest
-                .find('"')
-                .ok_or_else(|| format!("config line {}: unterminated quote", idx + 1))?;
-            rest[..end].to_string()
-        } else {
-            let bare = value.split('#').next().unwrap_or("").trim();
-            if bare.is_empty() {
-                return Err(format!("config line {}: empty value", idx + 1));
-            }
-            bare.to_string()
-        };
-        out.push((key, value));
-    }
-    Ok(out)
-}
+/// `music-node`'s usage line: the flags it reads ([`crate::cli`]).
+pub const NODE_USAGE: &str =
+    "usage: music-node --id N --peers ID=HOST:PORT,... [--listen HOST:PORT] [--rf N]";
 
-/// Configuration for one `music-node` storage server, assembled from an
-/// optional `--config` file plus flag overrides (flags win).
+/// Configuration for one `music-node` storage server.
 #[derive(Clone, Debug)]
 pub struct NodeConfig {
     /// This node's id (must appear in `peers` if `listen` is omitted).
@@ -347,80 +315,26 @@ pub struct NodeConfig {
 }
 
 impl NodeConfig {
-    /// Parses `music-node` arguments: `--config PATH`, `--id N`,
-    /// `--listen HOST:PORT`, `--peers LIST`, `--rf N`. The config file is
-    /// applied first, then flags override. `listen` defaults to this
-    /// node's own entry in `peers`.
+    /// Parses `music-node` arguments ([`NODE_USAGE`]). `--id` and
+    /// `--peers` are required; `listen` defaults to this node's own entry
+    /// in `peers`.
     ///
     /// # Errors
     ///
-    /// Returns a usage-style message on unknown flags, unreadable config
-    /// files, or missing required fields.
+    /// Returns a usage-style message on undeclared flags, bad values, or
+    /// missing required fields.
     pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
-        let mut id: Option<u32> = None;
-        let mut listen: Option<SocketAddr> = None;
-        let mut peers: Option<Vec<(u32, SocketAddr)>> = None;
-        let mut rf: Option<usize> = None;
-
-        let args: Vec<String> = args.into_iter().collect();
-        // Pass 1: config file (so flags can override it regardless of
-        // relative position on the command line).
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            if flag == "--config" {
-                let path = it.next().ok_or("--config needs a path")?;
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read config `{path}`: {e}"))?;
-                for (key, value) in parse_config_text(&text)? {
-                    match key.as_str() {
-                        "id" => id = Some(parse_num(&key, &value)?),
-                        "listen" => listen = Some(parse_addr(&key, &value)?),
-                        "peers" => peers = Some(parse_peers(&value)?),
-                        "rf" => rf = Some(parse_num(&key, &value)?),
-                        other => return Err(format!("unknown config key `{other}`")),
-                    }
-                }
-            }
-        }
-        // Pass 2: flag overrides.
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let mut take = || {
-                it.next()
-                    .map(String::as_str)
-                    .ok_or_else(|| format!("{flag} needs a value"))
-            };
-            match flag.as_str() {
-                "--config" => {
-                    take()?;
-                }
-                "--id" => id = Some(parse_num(flag, take()?)?),
-                "--listen" => listen = Some(parse_addr(flag, take()?)?),
-                "--peers" => peers = Some(parse_peers(take()?)?),
-                "--rf" => rf = Some(parse_num(flag, take()?)?),
-                other => return Err(format!("unknown flag `{other}`")),
-            }
-        }
-
-        let id = id.ok_or("missing `--id` (or `id` in the config file)")?;
+        let args = Args::parse(args, NODE_USAGE, 0)?;
+        let id: u32 = args.get("--id")?.ok_or("missing `--id`")?;
         if id >= MAX_NODE_ID {
             return Err(format!("node id {id} exceeds the 20-bit node-id ceiling"));
         }
-        let peers = peers.ok_or("missing `--peers` (or `peers` in the config file)")?;
-        let listen = match listen {
-            Some(a) => a,
-            None => peers
-                .iter()
-                .find(|&&(pid, _)| pid == id)
-                .map(|&(_, addr)| addr)
-                .ok_or_else(|| {
-                    format!("node {id} is not in the peer list and no --listen was given")
-                })?,
-        };
-        let rf = rf.unwrap_or(peers.len());
-        if rf == 0 || rf > peers.len() {
-            return Err(format!("rf {rf} out of range for {} peers", peers.len()));
-        }
+        let peers = parse_peers(args.value("--peers").ok_or("missing `--peers`")?)?;
+        let own = peers.iter().find(|p| p.0 == id).map(|p| p.1);
+        let listen = args.get("--listen")?.or(own).ok_or_else(|| {
+            format!("node {id} is not in the peer list and no --listen was given")
+        })?;
+        let rf = rf_in_range(args.get("--rf")?, &peers)?;
         Ok(NodeConfig {
             id,
             listen,
@@ -429,6 +343,22 @@ impl NodeConfig {
         })
     }
 }
+
+/// The replication factor `rf` (default: every peer), checked against the
+/// peer count.
+fn rf_in_range(rf: Option<usize>, peers: &[(u32, SocketAddr)]) -> Result<usize, String> {
+    let rf = rf.unwrap_or(peers.len());
+    if rf == 0 || rf > peers.len() {
+        return Err(format!("rf {rf} out of range for {} peers", peers.len()));
+    }
+    Ok(rf)
+}
+
+/// `music-load`'s usage line: the flags it reads ([`crate::cli`]).
+pub const LOAD_USAGE: &str = "\
+usage: music-load --peers ID=HOST:PORT,... [--sections N] [--clients N]
+       [--keys N] [--rf N] [--online-sample N] [--key-prefix P] [--retries K]
+       [--peek local|quorum] [--zipf-theta F] [--flash-crowd]";
 
 /// Configuration for the `music-load` driver.
 #[derive(Clone, Debug)]
@@ -472,69 +402,32 @@ pub struct LoadConfig {
 }
 
 impl LoadConfig {
-    /// Parses `music-load` arguments: `--peers LIST`, `--rf N`,
-    /// `--sections N`, `--clients N`, `--keys N`, `--online-sample N`,
-    /// `--key-prefix P`, `--retries N`, `--peek local|quorum`,
-    /// `--zipf-theta F`, `--flash-crowd`.
+    /// Parses `music-load` arguments ([`LOAD_USAGE`]); `--peers` is
+    /// required.
     ///
     /// # Errors
     ///
-    /// Returns a usage-style message on unknown flags or bad values.
+    /// Returns a usage-style message on undeclared flags or bad values.
     pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
-        let mut peers: Option<Vec<(u32, SocketAddr)>> = None;
-        let mut rf: Option<usize> = None;
-        let mut sections: u64 = 100;
-        let mut clients: u32 = 3;
-        let mut keys: u32 = 4;
-        let mut online_sample: u64 = 0;
-        let mut key_prefix = String::from("counter");
-        let mut retries: u32 = 0;
-        let mut peek_quorum = false;
-        let mut zipf_theta: f64 = 0.0;
-        let mut flash_crowd = false;
-
-        let args: Vec<String> = args.into_iter().collect();
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let mut take = || {
-                it.next()
-                    .map(String::as_str)
-                    .ok_or_else(|| format!("{flag} needs a value"))
-            };
-            match flag.as_str() {
-                "--peers" => peers = Some(parse_peers(take()?)?),
-                "--rf" => rf = Some(parse_num(flag, take()?)?),
-                "--sections" => sections = parse_num(flag, take()?)?,
-                "--clients" => clients = parse_num(flag, take()?)?,
-                "--keys" => keys = parse_num(flag, take()?)?,
-                "--online-sample" => online_sample = parse_num(flag, take()?)?,
-                "--key-prefix" => key_prefix = take()?.to_string(),
-                "--retries" => retries = parse_num(flag, take()?)?,
-                "--zipf-theta" => zipf_theta = parse_num(flag, take()?)?,
-                "--flash-crowd" => flash_crowd = true,
-                "--peek" => {
-                    peek_quorum = match take()? {
-                        "local" => false,
-                        "quorum" => true,
-                        other => {
-                            return Err(format!("`--peek` must be local or quorum, got `{other}`"))
-                        }
-                    }
-                }
-                other => return Err(format!("unknown flag `{other}`")),
-            }
-        }
-        let peers = peers.ok_or("missing `--peers`")?;
-        let rf = rf.unwrap_or(peers.len());
-        if rf == 0 || rf > peers.len() {
-            return Err(format!("rf {rf} out of range for {} peers", peers.len()));
-        }
+        let args = Args::parse(args, LOAD_USAGE, 0)?;
+        let peers = parse_peers(args.value("--peers").ok_or("missing `--peers`")?)?;
+        let rf = rf_in_range(args.get("--rf")?, &peers)?;
+        let sections = args.get("--sections")?.unwrap_or(100);
+        let clients = args.get("--clients")?.unwrap_or(3);
+        let keys = args.get("--keys")?.unwrap_or(4);
         if sections == 0 || clients == 0 || keys == 0 {
             return Err("--sections, --clients, and --keys must be positive".to_string());
         }
+        let key_prefix = args.value("--key-prefix").unwrap_or("counter").to_string();
         if key_prefix.is_empty() {
             return Err("--key-prefix must be non-empty".to_string());
         }
+        let peek_quorum = match args.value("--peek") {
+            None | Some("local") => false,
+            Some("quorum") => true,
+            Some(other) => return Err(format!("`--peek` must be local or quorum, got `{other}`")),
+        };
+        let zipf_theta: f64 = args.get("--zipf-theta")?.unwrap_or(0.0);
         if !zipf_theta.is_finite() || zipf_theta < 0.0 {
             return Err(format!(
                 "--zipf-theta `{zipf_theta}` must be finite and >= 0"
@@ -546,28 +439,14 @@ impl LoadConfig {
             sections,
             clients,
             keys,
-            online_sample,
+            online_sample: args.get("--online-sample")?.unwrap_or(0),
             key_prefix,
-            retries,
+            retries: args.get("--retries")?.unwrap_or(0),
             peek_quorum,
             zipf_theta,
-            flash_crowd,
+            flash_crowd: args.switch("--flash-crowd"),
         })
     }
-}
-
-fn parse_num<N: std::str::FromStr>(what: &str, value: &str) -> Result<N, String> {
-    value
-        .trim()
-        .parse()
-        .map_err(|_| format!("`{what}` value `{value}` is not a number"))
-}
-
-fn parse_addr(what: &str, value: &str) -> Result<SocketAddr, String> {
-    value
-        .trim()
-        .parse()
-        .map_err(|_| format!("`{what}` value `{value}` is not host:port"))
 }
 
 #[cfg(test)]
@@ -592,25 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn config_text_subset() {
-        let kv = parse_config_text(
-            "# cluster\nid = 2\nlisten = \"127.0.0.1:7102\"  # quoted\nrf = 3 # trailing\n",
-        )
-        .unwrap();
-        assert_eq!(
-            kv,
-            vec![
-                ("id".to_string(), "2".to_string()),
-                ("listen".to_string(), "127.0.0.1:7102".to_string()),
-                ("rf".to_string(), "3".to_string()),
-            ]
-        );
-        assert!(parse_config_text("id 2").is_err());
-        assert!(parse_config_text("id = \"2").is_err());
-        assert!(parse_config_text("id = # nothing").is_err());
-    }
-
-    #[test]
     fn node_args_flags_override_defaults() {
         let cfg = NodeConfig::from_args(
             [
@@ -625,8 +485,24 @@ mod tests {
         assert_eq!(cfg.id, 2);
         assert_eq!(cfg.listen, "127.0.0.1:7102".parse().unwrap());
         assert_eq!(cfg.rf, 3);
-        assert!(NodeConfig::from_args(["--id".to_string(), "1".to_string()]).is_err());
-        assert!(NodeConfig::from_args(["--bogus".to_string()]).is_err());
+        let err = |args: &[&str]| NodeConfig::from_args(args.iter().map(|s| s.to_string()));
+        assert_eq!(err(&["--id", "1"]).unwrap_err(), "missing `--peers`");
+        // A load flag, the retired `--config`, and a stray operand are each
+        // refused by name.
+        assert_eq!(
+            err(&["--sections", "5"]).unwrap_err(),
+            "unknown flag `--sections`"
+        );
+        assert_eq!(
+            err(&["--config", "n.toml"]).unwrap_err(),
+            "unknown flag `--config`"
+        );
+        assert_eq!(err(&["2"]).unwrap_err(), "unexpected operand `2`");
+        assert_eq!(
+            err(&["--id", "two"]).unwrap_err(),
+            "`--id` needs N, got `two`"
+        );
+        assert!(err(&["--id", "1", "--peers", "1=127.0.0.1:7101", "--rf", "2"]).is_err());
     }
 
     #[test]
@@ -645,6 +521,11 @@ mod tests {
         assert!(!cfg.peek_quorum);
         assert_eq!(cfg.zipf_theta, 0.0);
         assert!(!cfg.flash_crowd);
+        let err = |args: &[&str]| LoadConfig::from_args(args.iter().map(|s| s.to_string()));
+        assert_eq!(err(&["--id", "1"]).unwrap_err(), "unknown flag `--id`");
+        assert_eq!(err(&["--sections"]).unwrap_err(), "`--sections` needs N");
+        assert_eq!(err(&["--sections", "5"]).unwrap_err(), "missing `--peers`");
+        assert!(err(&["--peers", "1=127.0.0.1:7101", "--clients", "0"]).is_err());
     }
 
     #[test]

@@ -157,20 +157,25 @@ impl<P: Partition> TableReplica<P> {
         }
     }
 
-    /// Snapshot of `key`'s partition (creating it empty if absent).
-    pub fn snapshot(&mut self, key: &str) -> P::Snapshot {
-        self.partitions
-            .entry(key.to_string())
-            .or_default()
-            .snapshot()
+    /// Snapshot of `key`'s partition; an absent key answers an empty
+    /// partition's snapshot and is not inserted, so reads create no state.
+    pub fn snapshot(&self, key: &str) -> P::Snapshot {
+        match self.partitions.get(key) {
+            Some(p) => p.snapshot(),
+            None => P::default().snapshot(),
+        }
     }
 
-    /// Applies a stamped mutation to `key`'s partition.
+    /// Applies a stamped mutation to `key`'s partition, creating it on the
+    /// first write (the key's `String` is allocated only then).
     pub fn apply(&mut self, key: &str, mutation: &P::Mutation, stamp: WriteStamp) {
-        self.partitions
-            .entry(key.to_string())
-            .or_default()
-            .apply(mutation, stamp);
+        if let Some(p) = self.partitions.get_mut(key) {
+            p.apply(mutation, stamp);
+        } else {
+            let mut p = P::default();
+            p.apply(mutation, stamp);
+            self.partitions.insert(key.to_string(), p);
+        }
     }
 
     /// The Paxos acceptor guarding `key`'s LWT rounds.
@@ -245,5 +250,32 @@ impl<P: Partition> TableReplica<P> {
             }
             StoreReq::Scan => StoreResp::Rows(self.scan(|p| Some(p.clone())).0),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::partition::{DataRow, Put};
+    use bytes::Bytes;
+
+    #[test]
+    fn reading_an_absent_key_creates_no_state() {
+        let mut replica = TableReplica::<DataRow>::new();
+        let read = |replica: &mut TableReplica<DataRow>| match replica
+            .serve(&StoreReq::Snapshot { key: "k".into() })
+        {
+            StoreResp::Snapshot(s) => s,
+            _ => panic!("a snapshot request answers a snapshot"),
+        };
+        assert_eq!(read(&mut replica), DataRow::default().snapshot());
+        assert_eq!(replica.partitions.len(), 0, "the read inserted nothing");
+        replica.apply(
+            "k",
+            &Put::value(Bytes::from_static(b"v")),
+            WriteStamp::new(1),
+        );
+        assert_eq!(replica.partitions.len(), 1, "the write created the row");
+        assert_eq!(read(&mut replica).value, Some(Bytes::from_static(b"v")));
     }
 }

@@ -147,11 +147,6 @@ impl DriftClock {
         }
     }
 
-    /// The spec this clock follows.
-    pub fn spec(&self) -> &DriftSpec {
-        &self.spec
-    }
-
     /// The node-local reading for true time `true_now`, clamped monotone.
     pub fn local(&self, true_now: SimTime) -> SimTime {
         let raw = i128::from(true_now.as_micros()) + i128::from(self.spec.skew_at(true_now));

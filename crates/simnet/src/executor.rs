@@ -804,11 +804,6 @@ impl Sim {
         }
     }
 
-    /// The drift spec of this handle's lens, if one is attached.
-    pub fn drift_spec(&self) -> Option<&DriftSpec> {
-        self.skew.as_ref().map(|c| c.spec())
-    }
-
     fn advance_to(&self, t: SimTime) {
         let clock = &self.core.clock.0;
         clock.set(t.max(clock.get()));

@@ -51,7 +51,7 @@ pub mod prelude {
     pub use crate::clock::{DriftClock, DriftSpec};
     pub use crate::combinators::{join_all, never, quorum, timeout, yield_now, Elapsed};
     pub use crate::executor::{JoinHandle, Sim};
-    pub use crate::metrics::{Histogram, Throughput};
+    pub use crate::metrics::Histogram;
     pub use crate::net::{NetConfig, Network, NodeId};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{LatencyProfile, SiteId};

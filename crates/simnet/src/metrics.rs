@@ -1,10 +1,9 @@
-//! Latency and throughput bookkeeping for experiments.
+//! Latency bookkeeping for experiments.
 //!
 //! [`Histogram`] records virtual-time latencies and answers the statistics
 //! the paper reports: mean, percentiles, and full CDFs (Fig. 8).
-//! [`Throughput`] converts an op count over a virtual interval into op/s.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// A simple exact histogram of durations (stores every sample).
 ///
@@ -23,8 +22,8 @@ use crate::time::{SimDuration, SimTime};
 ///     h.record(SimDuration::from_millis(ms));
 /// }
 /// assert_eq!(h.count(), 5);
-/// assert_eq!(h.percentile(0.5).as_millis(), 3);
-/// assert_eq!(h.max().as_millis(), 100);
+/// assert_eq!(h.try_percentile(0.5).map(|d| d.as_millis()), Some(3));
+/// assert_eq!(h.try_percentile(1.0).map(|d| d.as_millis()), Some(100));
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Histogram {
@@ -70,17 +69,6 @@ impl Histogram {
         SimDuration::from_micros((sum / self.samples.len() as u128) as u64)
     }
 
-    /// The `p`-th percentile (`0.0 ..= 1.0`, nearest-rank).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the histogram is empty or `p` is out of range. Prefer
-    /// [`Histogram::try_percentile`] when the histogram may be empty
-    /// (e.g. rendering a report for an operation that never ran).
-    pub fn percentile(&mut self, p: f64) -> SimDuration {
-        self.try_percentile(p).expect("empty histogram")
-    }
-
     /// The `p`-th percentile (`0.0 ..= 1.0`, nearest-rank), or `None`
     /// when no samples were recorded.
     ///
@@ -96,40 +84,6 @@ impl Histogram {
         let n = self.samples.len();
         let rank = ((p * n as f64).ceil() as usize).clamp(1, n);
         Some(SimDuration::from_micros(self.samples[rank - 1]))
-    }
-
-    /// The standard report row: count, mean, p50/p95/p99/p99.9, and max.
-    /// Safe on an empty histogram (the percentile/max fields are `None`
-    /// and render as `-`).
-    pub fn summary(&mut self) -> Summary {
-        let count = self.count();
-        Summary {
-            count,
-            mean: self.mean(),
-            p50: self.try_percentile(0.50),
-            p95: self.try_percentile(0.95),
-            p99: self.try_percentile(0.99),
-            p999: self.try_percentile(0.999),
-            max: (count > 0).then(|| self.max()),
-        }
-    }
-
-    /// Smallest sample. [`SimDuration::ZERO`] when empty.
-    pub fn min(&mut self) -> SimDuration {
-        if self.samples.is_empty() {
-            return SimDuration::ZERO;
-        }
-        self.ensure_sorted();
-        SimDuration::from_micros(self.samples[0])
-    }
-
-    /// Largest sample. [`SimDuration::ZERO`] when empty.
-    pub fn max(&mut self) -> SimDuration {
-        if self.samples.is_empty() {
-            return SimDuration::ZERO;
-        }
-        self.ensure_sorted();
-        SimDuration::from_micros(*self.samples.last().expect("non-empty"))
     }
 
     /// Full CDF sampled at `points` evenly spaced cumulative fractions,
@@ -151,93 +105,6 @@ impl Histogram {
     }
 }
 
-/// One-line latency digest of a [`Histogram`] (see [`Histogram::summary`]).
-///
-/// `Display` renders milliseconds with `-` for statistics an empty
-/// histogram cannot provide, so report tables stay aligned even for
-/// operations that never ran.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: usize,
-    /// Arithmetic mean ([`SimDuration::ZERO`] when empty).
-    pub mean: SimDuration,
-    /// Median, if any samples exist.
-    pub p50: Option<SimDuration>,
-    /// 95th percentile, if any samples exist.
-    pub p95: Option<SimDuration>,
-    /// 99th percentile, if any samples exist.
-    pub p99: Option<SimDuration>,
-    /// 99.9th percentile, if any samples exist — the tail the far-site
-    /// starvation analysis watches (a fair lock keeps p99.9 close to
-    /// p99; a starving site's p99.9 runs away).
-    pub p999: Option<SimDuration>,
-    /// Largest sample, if any samples exist.
-    pub max: Option<SimDuration>,
-}
-
-impl Summary {
-    fn fmt_opt(d: Option<SimDuration>) -> String {
-        match d {
-            Some(d) => format!("{:.2}", d.as_millis_f64()),
-            None => "-".to_string(),
-        }
-    }
-}
-
-impl std::fmt::Display for Summary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "n={} mean={} p50={} p95={} p99={} p999={} max={}",
-            self.count,
-            Self::fmt_opt((self.count > 0).then_some(self.mean)),
-            Self::fmt_opt(self.p50),
-            Self::fmt_opt(self.p95),
-            Self::fmt_opt(self.p99),
-            Self::fmt_opt(self.p999),
-            Self::fmt_opt(self.max),
-        )
-    }
-}
-
-/// Throughput accumulator over a virtual-time measurement window.
-#[derive(Copy, Clone, Debug)]
-pub struct Throughput {
-    started: SimTime,
-    ops: u64,
-}
-
-impl Throughput {
-    /// Starts a measurement window at `now`.
-    pub fn start(now: SimTime) -> Self {
-        Throughput {
-            started: now,
-            ops: 0,
-        }
-    }
-
-    /// Counts `n` completed operations.
-    pub fn add(&mut self, n: u64) {
-        self.ops += n;
-    }
-
-    /// Total operations counted.
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Operations per virtual second as of `now`. Zero if no time elapsed.
-    pub fn ops_per_sec(&self, now: SimTime) -> f64 {
-        let secs = (now - self.started).as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.ops as f64 / secs
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,22 +117,26 @@ mod tests {
         h
     }
 
+    fn ms(h: &mut Histogram, p: f64) -> u64 {
+        h.try_percentile(p).expect("non-empty").as_millis()
+    }
+
     #[test]
     fn mean_and_extremes() {
-        let mut h = hist(&[10, 20, 30]);
+        let mut h = hist(&[20, 10, 30]);
         assert_eq!(h.mean().as_millis(), 20);
-        assert_eq!(h.min().as_millis(), 10);
-        assert_eq!(h.max().as_millis(), 30);
+        assert_eq!(ms(&mut h, 0.0), 10);
+        assert_eq!(ms(&mut h, 1.0), 30);
     }
 
     #[test]
     fn percentiles_nearest_rank() {
         let mut h = hist(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
-        assert_eq!(h.percentile(0.5).as_millis(), 5);
-        assert_eq!(h.percentile(0.9).as_millis(), 9);
-        assert_eq!(h.percentile(0.99).as_millis(), 10);
-        assert_eq!(h.percentile(0.0).as_millis(), 1);
-        assert_eq!(h.percentile(1.0).as_millis(), 10);
+        assert_eq!(ms(&mut h, 0.5), 5);
+        assert_eq!(ms(&mut h, 0.9), 9);
+        assert_eq!(ms(&mut h, 0.99), 10);
+        assert_eq!(ms(&mut h, 0.0), 1);
+        assert_eq!(ms(&mut h, 1.0), 10);
     }
 
     #[test]
@@ -285,16 +156,7 @@ mod tests {
         let mut h = Histogram::new();
         assert!(h.is_empty());
         assert_eq!(h.mean(), SimDuration::ZERO);
-        assert_eq!(h.min(), SimDuration::ZERO);
-        assert_eq!(h.max(), SimDuration::ZERO);
         assert!(h.cdf(5).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "empty histogram")]
-    fn percentile_of_empty_panics() {
-        let mut h = Histogram::new();
-        let _ = h.percentile(0.5);
     }
 
     #[test]
@@ -303,7 +165,6 @@ mod tests {
         assert_eq!(empty.try_percentile(0.5), None);
         let mut h = hist(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
         assert_eq!(h.try_percentile(0.5).unwrap().as_millis(), 5);
-        assert_eq!(h.try_percentile(0.5), Some(h.percentile(0.5)));
     }
 
     #[test]
@@ -311,23 +172,6 @@ mod tests {
     fn try_percentile_still_validates_p() {
         let mut h = hist(&[1]);
         let _ = h.try_percentile(1.5);
-    }
-
-    #[test]
-    fn summary_reports_the_standard_row() {
-        let mut h = hist(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
-        let s = h.summary();
-        assert_eq!(s.count, 10);
-        assert_eq!(s.mean.as_millis(), 5);
-        assert_eq!(s.p50.unwrap().as_millis(), 5);
-        assert_eq!(s.p95.unwrap().as_millis(), 10);
-        assert_eq!(s.p99.unwrap().as_millis(), 10);
-        assert_eq!(s.p999.unwrap().as_millis(), 10);
-        assert_eq!(s.max.unwrap().as_millis(), 10);
-        assert_eq!(
-            s.to_string(),
-            "n=10 mean=5.50 p50=5.00 p95=10.00 p99=10.00 p999=10.00 max=10.00"
-        );
     }
 
     #[test]
@@ -340,27 +184,7 @@ mod tests {
             h.record(SimDuration::from_millis(1));
         }
         h.record(SimDuration::from_millis(500));
-        let s = h.summary();
-        assert_eq!(s.p99.unwrap().as_millis(), 1);
-        assert_eq!(s.p999.unwrap().as_millis(), 500);
-    }
-
-    #[test]
-    fn summary_of_empty_renders_dashes() {
-        let mut h = Histogram::new();
-        let s = h.summary();
-        assert_eq!(s.count, 0);
-        assert_eq!(s.p50, None);
-        assert_eq!(s.to_string(), "n=0 mean=- p50=- p95=- p99=- p999=- max=-");
-    }
-
-    #[test]
-    fn throughput_math() {
-        let mut t = Throughput::start(SimTime::ZERO);
-        t.add(500);
-        let now = SimTime::ZERO + SimDuration::from_secs(5);
-        assert_eq!(t.ops(), 500);
-        assert!((t.ops_per_sec(now) - 100.0).abs() < 1e-9);
-        assert_eq!(t.ops_per_sec(SimTime::ZERO), 0.0);
+        assert_eq!(ms(&mut h, 0.99), 1);
+        assert_eq!(ms(&mut h, 0.999), 500);
     }
 }

@@ -40,12 +40,6 @@ impl<'s> ZkLock<'s> {
         }
     }
 
-    /// Sets the children-polling interval.
-    pub fn poll_interval(mut self, poll: SimDuration) -> Self {
-        self.poll = poll;
-        self
-    }
-
     /// Whether this handle currently holds the lock.
     pub fn is_held(&self) -> bool {
         self.my_path.is_some()

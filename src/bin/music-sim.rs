@@ -1,69 +1,102 @@
 //! `music-sim` — command-line driver for the MUSIC reproduction.
 //!
-//! ```text
-//! music-sim demo                  # a narrated critical section on 1Us
-//! music-sim latency [profile]     # Fig. 5(b)-style operation breakdown
-//! music-sim throughput [profile]  # quick Fig. 4(a)-style comparison
-//! music-sim trace [p] [--seed N]  # seeded chaos run as a JSON-lines trace
-//!                [--spans] [--node N] [--site S] [--trace-id T]
-//! music-sim profile [--seed N] [--mode sync|pipelined|leased|all]
-//!                [--name NAME] [--out FILE]
-//!                                 # span-profiling workloads -> BENCH_<name>.json
-//! music-sim nemesis [p|all] [--seed N] [--schedules K] [--mode M]
-//!                [--drift-us E] [--flash-crowd]
-//!                                 # randomized fault schedules + checker verdicts
-//! music-sim verify                # bounded model check of the ECF invariants
-//! music-sim profiles              # print the Table II latency profiles
-//! ```
+//! `music-sim help` lists the commands: the Fig. 4/5(b) runners, the
+//! seeded chaos trace, the span profiler, the nemesis lanes and the §V
+//! model check. Each command's usage line in [`COMMANDS`] declares the
+//! operand and flags it reads; the usage text is those lines.
 //!
 //! Everything runs in simulated (virtual) time and is deterministic. An
-//! unknown command, flag or profile name prints the usage to stderr and
-//! exits 2; a bare `music-sim` or `music-sim help` prints it and exits 0.
+//! unknown command, a flag the command does not read, a bad operand or an
+//! unknown profile name prints the usage to stderr and exits 2; a bare
+//! `music-sim` or `music-sim help` prints it and exits 0.
 
 use bytes::Bytes;
-use music::{MusicSystemBuilder, OpKind};
+use music::cli::Args;
+use music::{MusicSystemBuilder, OpKind, RunMode};
 use music_bench::music_runners::{
     cassa_ev_throughput, music_cs_latency, music_write_throughput, ThroughputRun,
 };
 use music_bench::setup::Mode;
 use music_simnet::prelude::*;
 
-const USAGE: &str = "\
-music-sim — MUSIC (ICDCS 2020) reproduction driver
+/// A command: its usage line, which declares the one free operand and the
+/// flags it reads ([`music::cli`]), its help text and its body.
+type Command = (&'static str, &'static str, fn(&Args));
 
-usage: music-sim <command> [profile] [--seed N]
-  demo        narrated critical section
-  latency     per-operation latency breakdown (Fig. 5(b))
-  throughput  quick CassaEV / MUSIC / MSCP comparison (Fig. 4(a))
-  trace       seeded chaos run -> JSON-lines event trace + ECF verdict
-              [--spans] (Chrome-trace span export)
-              [--node N] [--site S] [--trace-id T] (output filters)
-  profile     seeded span-profiling workloads -> BENCH_<name>.json
-              [--seed N] [--mode sync|pipelined|leased|all] [--name NAME]
-              [--out FILE]
-  nemesis     randomized fault schedules -> per-schedule checker verdicts
-              (ECF + lock-queue refinement)
-              [profile|all] [--seed N] [--schedules K]
-              [--mode sync|pipelined|leased] [--no-replay]
-              [--drift-us E] (replica clocks skewed within ±E µs, ε = E)
-              [--flash-crowd] (hot-key crowd + adaptive controller)
-  verify      bounded model check of the ECF invariants (§V)
-  profiles    print the Table II latency profiles
-  help        print this text
+const COMMANDS: [Command; 9] = [
+    ("demo [profile]", "narrated critical section", cmd_demo),
+    (
+        "latency [profile]",
+        "per-operation latency breakdown (Fig. 5(b))",
+        cmd_latency,
+    ),
+    (
+        "throughput [profile]",
+        "quick CassaEV / MUSIC / MSCP comparison (Fig. 4(a))",
+        cmd_throughput,
+    ),
+    (
+        "trace [profile] [--seed N] [--spans] [--node N] [--site S] [--trace-id T]",
+        "seeded chaos run -> JSON-lines event trace + ECF verdict; --spans:\n\
+         Chrome-trace span export; --node/--site/--trace-id filter the output",
+        cmd_trace,
+    ),
+    (
+        "profile [--seed N] [--mode sync|pipelined|leased|all] [--name NAME] [--out FILE]",
+        "seeded span-profiling workloads -> BENCH_<name>.json",
+        cmd_profile,
+    ),
+    (
+        "nemesis [profile|all] [--seed N] [--schedules K] [--mode sync|pipelined|leased]\n\
+         [--no-replay] [--drift-us E] [--flash-crowd]",
+        "randomized fault schedules -> per-schedule checker verdicts (ECF +\n\
+         lock-queue refinement); --drift-us: replica clocks skewed within ±E µs,\n\
+         ε = E; --flash-crowd: hot-key crowd + adaptive controller",
+        cmd_nemesis,
+    ),
+    (
+        "verify",
+        "bounded model check of the ECF invariants (§V)",
+        cmd_verify,
+    ),
+    (
+        "profiles",
+        "print the Table II latency profiles",
+        cmd_profiles,
+    ),
+    ("help", "print this text", |_| print!("{}", usage_text())),
+];
 
-profiles: 1l | 1Us (default) | 1UsEu
-";
+/// The usage text: every [`COMMANDS`] row.
+fn usage_text() -> String {
+    let mut text = String::from(
+        "music-sim — MUSIC (ICDCS 2020) reproduction driver\n\n\
+         usage: music-sim <command> [operand] [flags]\n\
+         each command takes only the operand and flags listed with it:\n",
+    );
+    for (usage, about, _) in COMMANDS {
+        let usage = usage.replace('\n', "\n          ");
+        text += &format!("  {usage}\n      {}\n", about.replace('\n', "\n      "));
+    }
+    text + "\nprofiles: 1l | 1Us (default) | 1UsEu\n"
+}
 
-/// Prints `msg` and the usage to stderr and exits 2: the answer to an
-/// unknown command, flag or profile, or to a flag without a valid operand.
+/// Prints `msg` and the usage to stderr and exits 2: the answer to a
+/// command line `music-sim` cannot read.
 fn usage_error(msg: &str) -> ! {
     eprintln!("music-sim: {msg}\n");
-    eprint!("{USAGE}");
+    eprint!("{}", usage_text());
     std::process::exit(2);
 }
 
-fn profile_by_name(name: Option<&str>) -> LatencyProfile {
-    match name.unwrap_or("1Us") {
+/// Flag `name`'s operand, parsed; a usage error if it does not parse.
+fn flag<T: std::str::FromStr>(a: &Args, name: &str) -> Option<T> {
+    a.get(name).unwrap_or_else(|e| usage_error(&e))
+}
+
+/// The latency profile named by the free operand (default `1Us`).
+fn profile_operand(a: &Args) -> LatencyProfile {
+    match a.operands().first().map_or("1Us", String::as_str) {
         "1l" => LatencyProfile::one_l(),
         "1Us" => LatencyProfile::one_us(),
         "1UsEu" => LatencyProfile::one_us_eu(),
@@ -71,7 +104,7 @@ fn profile_by_name(name: Option<&str>) -> LatencyProfile {
     }
 }
 
-fn cmd_profiles() {
+fn cmd_profiles(_: &Args) {
     println!("Table II latency profiles (RTT in ms):");
     for p in LatencyProfile::table_ii() {
         print!("  {:<6}", p.name());
@@ -89,7 +122,8 @@ fn cmd_profiles() {
     }
 }
 
-fn cmd_demo(profile: LatencyProfile) {
+fn cmd_demo(a: &Args) {
+    let profile = profile_operand(a);
     println!(
         "== MUSIC critical section on the {} profile ==",
         profile.name()
@@ -131,7 +165,8 @@ fn cmd_demo(profile: LatencyProfile) {
     println!("(virtual time elapsed: {})", system.sim().now());
 }
 
-fn cmd_latency(profile: LatencyProfile) {
+fn cmd_latency(a: &Args) {
+    let profile = profile_operand(a);
     println!(
         "== operation latency breakdown on {} (5 critical sections) ==",
         profile.name()
@@ -164,7 +199,8 @@ fn cmd_latency(profile: LatencyProfile) {
     );
 }
 
-fn cmd_throughput(profile: LatencyProfile) {
+fn cmd_throughput(a: &Args) {
+    let profile = profile_operand(a);
     println!(
         "== quick write-throughput comparison on {} (reduced load) ==",
         profile.name()
@@ -185,8 +221,7 @@ fn cmd_throughput(profile: LatencyProfile) {
     println!("  (full sweeps: cargo bench -p music-bench)");
 }
 
-/// `music-sim trace [profile] [--seed N] [--spans] [--node N] [--site S]
-/// [--trace-id T]`: runs the seeded chaos scenario with full tracing.
+/// `music-sim trace`: runs the seeded chaos scenario with full tracing.
 ///
 /// Default output is JSON lines — one per event (after any `--node` /
 /// `--site` / `--trace-id` filter), then a `metrics` line, then the
@@ -197,21 +232,15 @@ fn cmd_throughput(profile: LatencyProfile) {
 /// The checker always sees the *full* log; filters only trim what is
 /// printed. Output is byte-identical across runs with the same seed and
 /// profile. Exits 1 on an ECF or queue-refinement violation.
-#[allow(clippy::fn_params_excessive_bools)]
-fn cmd_trace(
-    profile: LatencyProfile,
-    seed: u64,
-    spans: bool,
-    node: Option<u32>,
-    site: Option<u32>,
-    trace_id: Option<u64>,
-) {
+fn cmd_trace(a: &Args) {
     use music_repro::telemetry::span::to_chrome_trace;
     use music_repro::telemetry::{to_json_lines, Recorder};
     use music_repro::trace::{filter_events, filter_spans};
-    let run = music_repro::trace::run_chaos(profile, seed, Recorder::tracing());
+    let seed = flag(a, "--seed").unwrap_or(1);
+    let (node, site, trace_id) = (flag(a, "--node"), flag(a, "--site"), flag(a, "--trace-id"));
+    let run = music_repro::trace::run_chaos(profile_operand(a), seed, Recorder::tracing());
     let report = &run.report;
-    if spans {
+    if a.switch("--spans") {
         print!(
             "{}",
             to_chrome_trace(&filter_spans(&run.spans, node, site, trace_id))
@@ -242,32 +271,34 @@ fn cmd_trace(
     }
 }
 
-/// `music-sim profile [--seed N] [--mode sync|pipelined|leased|all]
-/// [--name NAME] [--out FILE]`: runs the canonical seeded span-profiling
-/// workload and writes the `BENCH_<name>.json` artifact.
+/// `music-sim profile`: runs the canonical seeded span-profiling workload
+/// (`--mode all` or no `--mode`: every mode) and writes the
+/// `BENCH_<name>.json` artifact (`--name`, default `baseline`; `--out`
+/// overrides the path).
 ///
 /// Every figure in the artifact is virtual-time-derived, so replays of
 /// the same seed are byte-identical — the file is a committable baseline,
 /// and `tests/profile_bench.rs` requires `--seed 7 --mode all` to
 /// reproduce `BENCH_baseline.json` byte for byte.
-fn cmd_profile(seed: u64, mode: Option<&str>, name: &str, out_path: Option<&str>) {
-    use music_bench::profile::{bench_json, run_mode_profile, ModeKey, ProfileOptions};
-    let keys: Vec<ModeKey> = match mode {
-        None | Some("all") => ModeKey::ALL.to_vec(),
-        Some(m) => vec![ModeKey::parse(m)
-            .unwrap_or_else(|| usage_error("--mode needs sync|pipelined|leased|all"))],
+fn cmd_profile(a: &Args) {
+    use music_bench::profile::{bench_json, run_mode_profile, ProfileOptions};
+    let modes: Vec<RunMode> = match a.value("--mode") {
+        None | Some("all") => RunMode::ALL.to_vec(),
+        Some(_) => flag(a, "--mode").into_iter().collect(),
     };
+    let seed = flag(a, "--seed").unwrap_or(1);
+    let name = a.value("--name").unwrap_or("baseline");
     let opts = ProfileOptions {
         seed,
         ..ProfileOptions::default()
     };
     let wall = std::time::Instant::now();
-    let mut modes = Vec::new();
-    for key in keys {
-        let m = run_mode_profile(key, &opts);
+    let mut runs = Vec::new();
+    for mode in modes {
+        let m = run_mode_profile(mode, &opts);
         println!(
             "{:<9} {} sections in {:.1} virtual s — {} protocol ops, {} sim events",
-            m.key.name(),
+            m.mode.name(),
             m.sections,
             m.virtual_us as f64 / 1e6,
             m.protocol_ops,
@@ -293,33 +324,24 @@ fn cmd_profile(seed: u64, mode: Option<&str>, name: &str, out_path: Option<&str>
             eprintln!("checker FAILED: {}", m.report.to_json());
             std::process::exit(1);
         }
-        modes.push(m);
+        runs.push(m);
     }
-    let json = bench_json(name, &opts, &modes);
-    let total_events: u64 = modes.iter().map(|m| m.executor.events()).sum();
+    let json = bench_json(name, &opts, &runs);
+    let total_events: u64 = runs.iter().map(|m| m.executor.events()).sum();
     eprintln!(
         "(wall clock: {:.2}s, ~{:.0} sim events/s)",
         wall.elapsed().as_secs_f64(),
         total_events as f64 / wall.elapsed().as_secs_f64().max(1e-9)
     );
-    let out_file = out_path
-        .map(String::from)
-        .unwrap_or_else(|| format!("BENCH_{name}.json"));
+    let out_file = a
+        .value("--out")
+        .map_or_else(|| format!("BENCH_{name}.json"), String::from);
     std::fs::write(&out_file, &json).expect("write BENCH artifact");
     println!("wrote {out_file}");
 }
 
-/// The optional nemesis lanes, bundled so `cmd_nemesis` keeps a flat
-/// signature as lanes accrete.
-struct NemesisLanes {
-    replay: bool,
-    drift_us: u64,
-    flash_crowd: bool,
-}
-
-/// `music-sim nemesis [profile|all] [--seed N] [--schedules K] [--mode M]
-/// [--no-replay] [--drift-us E] [--flash-crowd]`: runs `K` seeded nemesis
-/// fault schedules per profile (seeds `N..N+K`), each against a
+/// `music-sim nemesis`: runs `K` (`--schedules`, default 8) seeded
+/// nemesis fault schedules per profile (seeds `N..N+K`), each against a
 /// randomized multi-client workload, and prints one JSON verdict line per
 /// schedule: the checker's ECF counters and its queue-refinement layer,
 /// both computed during the run. Unless `--mode` pins one, the write mode
@@ -335,20 +357,20 @@ struct NemesisLanes {
 /// anti-starvation) is enabled.
 /// Exits 1 if any schedule violates ECF or the queue refinement, or fails
 /// to replay.
-fn cmd_nemesis(
-    profiles: Vec<LatencyProfile>,
-    seed0: u64,
-    schedules: u64,
-    mode: Option<music::nemesis::RunMode>,
-    lanes: NemesisLanes,
-) {
-    use music::nemesis::{run_nemesis, NemesisOptions, RunMode};
-    let NemesisLanes {
-        replay,
-        drift_us,
-        flash_crowd,
-    } = lanes;
+fn cmd_nemesis(a: &Args) {
+    use music::nemesis::{run_nemesis, NemesisOptions};
     use music_repro::telemetry::{to_json_lines, Recorder};
+    let profiles = if a.operands().first().is_some_and(|p| p == "all") {
+        LatencyProfile::table_ii()
+    } else {
+        vec![profile_operand(a)]
+    };
+    let seed0: u64 = flag(a, "--seed").unwrap_or(1);
+    let schedules: u64 = flag(a, "--schedules").unwrap_or(8);
+    let mode: Option<RunMode> = flag(a, "--mode");
+    let replay = !a.switch("--no-replay");
+    let drift_us: u64 = flag(a, "--drift-us").unwrap_or(0);
+    let flash_crowd = a.switch("--flash-crowd");
     let options = |m| {
         let mut opts = NemesisOptions::new(m);
         if flash_crowd {
@@ -430,7 +452,7 @@ fn cmd_nemesis(
     }
 }
 
-fn cmd_verify() {
+fn cmd_verify(_: &Args) {
     use music_repro::modelcheck::{CheckOutcome, Checker, MusicModel, Scope};
     println!("== bounded model check of the ECF invariants (§V) ==");
     let scopes = [
@@ -495,91 +517,17 @@ fn cmd_verify() {
     println!("  invariants: critical-section, synchFlag, latest-state, queue sanity, lease-floor");
 }
 
-/// The next argument parsed as `flag`'s operand; a usage error if there
-/// is none or it does not parse.
-fn operand<T: std::str::FromStr>(rest: &mut std::slice::Iter<'_, String>, flag: &str) -> T {
-    rest.next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| usage_error(&format!("{flag} needs a valid operand")))
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let cmd = args.get(1).map(String::as_str).unwrap_or("help");
-    // Flags may appear anywhere after the command; the one free operand
-    // is the latency profile, for the commands that run on one.
-    let mut seed = 1u64;
-    let mut schedules = 8u64;
-    let mut mode_raw: Option<String> = None;
-    let mut replay = true;
-    let mut spans = false;
-    let mut node: Option<u32> = None;
-    let mut site: Option<u32> = None;
-    let mut trace_id: Option<u64> = None;
-    let mut name = String::from("baseline");
-    let mut out_path: Option<String> = None;
-    let mut drift_us = 0u64;
-    let mut flash_crowd = false;
-    let mut free: Vec<&str> = Vec::new();
-    let mut rest = args[2.min(args.len())..].iter();
-    while let Some(a) = rest.next() {
-        match a.as_str() {
-            "--seed" => seed = operand(&mut rest, a),
-            "--schedules" => schedules = operand(&mut rest, a),
-            "--mode" => mode_raw = Some(operand(&mut rest, a)),
-            "--no-replay" => replay = false,
-            "--spans" => spans = true,
-            "--node" => node = Some(operand(&mut rest, a)),
-            "--site" => site = Some(operand(&mut rest, a)),
-            "--trace-id" => trace_id = Some(operand(&mut rest, a)),
-            "--name" => name = operand(&mut rest, a),
-            "--out" => out_path = Some(operand(&mut rest, a)),
-            // µs: replica clocks skew within ±E and ε = E.
-            "--drift-us" => drift_us = operand(&mut rest, a),
-            "--flash-crowd" => flash_crowd = true,
-            flag if flag.starts_with("--") => usage_error(&format!("unknown flag `{flag}`")),
-            other => free.push(other),
-        }
-    }
-    let takes_profile = matches!(cmd, "demo" | "latency" | "throughput" | "trace" | "nemesis");
-    match free.as_slice() {
-        [] => {}
-        [_] if takes_profile => {}
-        [first, ..] => usage_error(&format!("unexpected operand `{first}`")),
-    }
-    let profile_arg = free.first().copied();
-    let profile = || profile_by_name(profile_arg);
-    match cmd {
-        "demo" => cmd_demo(profile()),
-        "latency" => cmd_latency(profile()),
-        "throughput" => cmd_throughput(profile()),
-        "trace" => cmd_trace(profile(), seed, spans, node, site, trace_id),
-        "profile" => cmd_profile(seed, mode_raw.as_deref(), &name, out_path.as_deref()),
-        "nemesis" => {
-            let profiles = if profile_arg == Some("all") {
-                LatencyProfile::table_ii()
-            } else {
-                vec![profile()]
-            };
-            let mode = mode_raw.as_deref().map(|m| {
-                music::nemesis::RunMode::parse(m)
-                    .unwrap_or_else(|| usage_error("--mode needs sync|pipelined|leased"))
-            });
-            cmd_nemesis(
-                profiles,
-                seed,
-                schedules,
-                mode,
-                NemesisLanes {
-                    replay,
-                    drift_us,
-                    flash_crowd,
-                },
-            );
-        }
-        "verify" => cmd_verify(),
-        "profiles" => cmd_profiles(),
-        "help" => print!("{USAGE}"),
-        other => usage_error(&format!("unknown command `{other}`")),
+    let mut args = std::env::args().skip(1);
+    let name = args.next().unwrap_or_else(|| String::from("help"));
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.0.split(' ').next() == Some(name.as_str()));
+    let Some(&(usage, _, run)) = command else {
+        usage_error(&format!("unknown command `{name}`"))
+    };
+    match Args::parse(args, usage, usize::from(usage.contains("[profile"))) {
+        Ok(a) => run(&a),
+        Err(e) => usage_error(&format!("{name}: {e}")),
     }
 }

@@ -3,14 +3,15 @@
 //! `BENCH_*.json` bytes, and the default workload must reproduce the
 //! committed `BENCH_baseline.json` byte for byte.
 
-use music_bench::profile::{bench_json, run_mode_profile, ModeKey, ProfileOptions};
+use music::RunMode;
+use music_bench::profile::{bench_json, run_mode_profile, ProfileOptions};
 use music_repro::telemetry::span::{spans_to_json_lines, to_chrome_trace, SpanPhase};
 
 #[test]
 fn bench_json_replays_byte_identically() {
     let opts = ProfileOptions::quick(7);
     let run = |opts: &ProfileOptions| {
-        let modes: Vec<_> = ModeKey::ALL
+        let modes: Vec<_> = RunMode::ALL
             .iter()
             .map(|&k| run_mode_profile(k, opts))
             .collect();
@@ -28,7 +29,7 @@ fn bench_json_replays_byte_identically() {
 fn bench_baseline_matches_a_fresh_run_byte_for_byte() {
     let committed = include_str!("../BENCH_baseline.json");
     let opts = ProfileOptions::default();
-    let modes: Vec<_> = ModeKey::ALL
+    let modes: Vec<_> = RunMode::ALL
         .iter()
         .map(|&k| run_mode_profile(k, &opts))
         .collect();
@@ -59,8 +60,8 @@ fn bench_baseline_matches_a_fresh_run_byte_for_byte() {
 #[test]
 fn span_tree_and_chrome_trace_replay_byte_identically() {
     let opts = ProfileOptions::quick(11);
-    let a = run_mode_profile(ModeKey::Sync, &opts);
-    let b = run_mode_profile(ModeKey::Sync, &opts);
+    let a = run_mode_profile(RunMode::Sync, &opts);
+    let b = run_mode_profile(RunMode::Sync, &opts);
     assert_eq!(
         spans_to_json_lines(&a.spans),
         spans_to_json_lines(&b.spans),
@@ -99,10 +100,10 @@ fn span_tree_and_chrome_trace_replay_byte_identically() {
 #[test]
 fn mode_specific_phases_appear() {
     let opts = ProfileOptions::quick(5);
-    let piped = run_mode_profile(ModeKey::Pipelined, &opts);
+    let piped = run_mode_profile(RunMode::Pipelined, &opts);
     assert!(piped.span_report.ok(), "{}", piped.span_report.to_json());
     assert!(piped.spans.iter().any(|s| s.phase == SpanPhase::Flush));
-    let leased = run_mode_profile(ModeKey::Leased, &opts);
+    let leased = run_mode_profile(RunMode::Leased, &opts);
     assert!(leased.span_report.ok(), "{}", leased.span_report.to_json());
     assert!(leased
         .spans
@@ -117,7 +118,7 @@ fn mode_specific_phases_appear() {
 #[test]
 fn profile_counts_are_consistent() {
     let opts = ProfileOptions::quick(7);
-    let m = run_mode_profile(ModeKey::Sync, &opts);
+    let m = run_mode_profile(RunMode::Sync, &opts);
     let expected = (3 * opts.clients_per_site * opts.sections_per_client) as u64;
     assert_eq!(m.sections, expected, "every section must complete");
     let counter = |name: &str| {
